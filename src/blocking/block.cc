@@ -1,6 +1,7 @@
 #include "blocking/block.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -53,30 +54,71 @@ uint64_t BlockCollection::TotalComparisonsWithRedundancy() const {
   return total;
 }
 
-model::IdPairSet BlockCollection::DistinctPairs() const {
-  model::IdPairSet pairs;
-  VisitDistinctPairs([&pairs](model::EntityId a, model::EntityId b) {
-    pairs.insert(model::IdPair::Of(a, b));
-  });
-  return pairs;
-}
+namespace {
 
-void BlockCollection::VisitDistinctPairs(
-    const std::function<void(model::EntityId, model::EntityId)>& visitor)
-    const {
-  model::IdPairSet seen;
-  for (const Block& block : blocks_) {
-    for (size_t i = 0; i < block.entities.size(); ++i) {
-      for (size_t j = i + 1; j < block.entities.size(); ++j) {
-        model::EntityId a = block.entities[i];
-        model::EntityId b = block.entities[j];
-        if (collection_ != nullptr && !collection_->Comparable(a, b)) {
-          continue;
-        }
-        if (seen.insert(model::IdPair::Of(a, b)).second) visitor(a, b);
+/// The least-common-block walk, the one distinct-pair enumerator: for each
+/// entity v ascending, each of v's blocks b ascending, and each member
+/// u > v of b, calls visit(v, u, b) the first time the comparable pair
+/// (v, u) is seen. Blocks are visited in ascending order for each v, so
+/// that first time is in the pair's least common block; stamp[u] == v
+/// marks u as already paired with v, which replaces a set of seen pairs.
+template <typename Visitor>
+void WalkDistinctPairs(const BlockCollection& blocks,
+                       const std::vector<std::vector<uint32_t>>& index,
+                       Visitor&& visit) {
+  const model::EntityCollection* collection = blocks.collection();
+  constexpr model::EntityId kUnstamped = ~model::EntityId{0};
+  if (WEBER_DCHECK_IS_ON()) {
+    // upper_bound needs ascending members; mutable_blocks could break that.
+    for (const Block& block : blocks.blocks()) {
+      WEBER_DCHECK_SORTED(block.entities.begin(), block.entities.end())
+          << "block '" << block.key << "' is unsorted";
+    }
+  }
+  std::vector<model::EntityId> stamp(index.size(), kUnstamped);
+  for (model::EntityId v = 0; v < index.size(); ++v) {
+    for (uint32_t b : index[v]) {
+      const std::vector<model::EntityId>& members = blocks.blocks()[b].entities;
+      for (auto it = std::upper_bound(members.begin(), members.end(), v);
+           it != members.end(); ++it) {
+        model::EntityId u = *it;
+        if (stamp[u] == v) continue;
+        stamp[u] = v;
+        if (collection != nullptr && !collection->Comparable(v, u)) continue;
+        visit(v, u, b);
       }
     }
   }
+}
+
+}  // namespace
+
+std::vector<model::IdPair> BlockCollection::CandidatePairs() const {
+  // Two walks: count the pairs whose least common block is b, then
+  // scatter each to its block's next slot. The walk meets a block's pairs
+  // in (low, high) order, so the result is ordered by (b, low, high).
+  std::vector<std::vector<uint32_t>> index = EntityToBlocks();
+  std::vector<uint64_t> offset(blocks_.size() + 1, 0);
+  WalkDistinctPairs(*this, index,
+                    [&offset](model::EntityId, model::EntityId, uint32_t b) {
+                      ++offset[b + 1];
+                    });
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<model::IdPair> pairs(offset.back());
+  WalkDistinctPairs(
+      *this, index,
+      [&offset, &pairs](model::EntityId v, model::EntityId u, uint32_t b) {
+        pairs[offset[b]++] = model::IdPair{v, u};
+      });
+  return pairs;
+}
+
+uint64_t BlockCollection::CountDistinctPairs() const {
+  uint64_t count = 0;
+  WalkDistinctPairs(
+      *this, EntityToBlocks(),
+      [&count](model::EntityId, model::EntityId, uint32_t) { ++count; });
+  return count;
 }
 
 std::vector<std::vector<uint32_t>> BlockCollection::EntityToBlocks() const {

@@ -55,16 +55,30 @@ class BlockCollection {
   /// naive executor would pay.
   uint64_t TotalComparisonsWithRedundancy() const;
 
-  /// The distinct candidate pairs suggested by the collection (each pair
-  /// once, no matter how many blocks it co-occurs in).
-  model::IdPairSet DistinctPairs() const;
+  /// The distinct candidate pairs suggested by the collection: each pair
+  /// the collection's setting allows, once, no matter how many blocks it
+  /// co-occurs in. Ordered by least common block (the first block, in
+  /// block order, holding both entities), then low id, then high id.
+  /// Costs O(block assignments + pairs); no hash set is built.
+  std::vector<model::IdPair> CandidatePairs() const;
 
-  /// Visits every distinct candidate pair once. Lower memory than
-  /// DistinctPairs for large collections; see comparison_propagation.h for
-  /// the hash-free variant.
+  /// Number of distinct candidate pairs, without materialising them.
+  uint64_t CountDistinctPairs() const;
+
+  /// CandidatePairs as a set.
+  model::IdPairSet DistinctPairs() const {
+    std::vector<model::IdPair> pairs = CandidatePairs();
+    return {pairs.begin(), pairs.end()};
+  }
+
+  /// Visits CandidatePairs in order.
   void VisitDistinctPairs(
       const std::function<void(model::EntityId, model::EntityId)>& visitor)
-      const;
+      const {
+    for (const model::IdPair& pair : CandidatePairs()) {
+      visitor(pair.low, pair.high);
+    }
+  }
 
   /// Builds the inverted index from entity id to the (ascending) list of
   /// block indices that contain it.

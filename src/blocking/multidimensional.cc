@@ -17,10 +17,9 @@ BlockCollection AggregateMultidimensional(
   std::unordered_map<model::IdPair, uint32_t, model::IdPairHash> agreement;
   for (const BlockCollection* dimension : dimensions) {
     if (dimension == nullptr) continue;
-    dimension->VisitDistinctPairs(
-        [&agreement](model::EntityId a, model::EntityId b) {
-          ++agreement[model::IdPair::Of(a, b)];
-        });
+    for (const model::IdPair& pair : dimension->CandidatePairs()) {
+      ++agreement[pair];
+    }
   }
   BlockCollection result(collection);
   min_agreement = std::max<size_t>(min_agreement, 1);

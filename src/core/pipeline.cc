@@ -321,7 +321,11 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
           .Add(blocks.NumBlocks());
     }
   }
-  result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
+  {
+    obs::Span span(registry, "evaluation");
+    PhaseScope phase("evaluation");
+    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
+  }
   result.blocking_seconds = timer.ElapsedSeconds();
   timer.Restart();
 
@@ -336,10 +340,7 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
                                            config.meta_blocking->first,
                                            config.meta_blocking->second);
     } else {
-      blocks.VisitDistinctPairs(
-          [&candidates](model::EntityId a, model::EntityId b) {
-            candidates.push_back(model::IdPair::Of(a, b));
-          });
+      candidates = blocks.CandidatePairs();
     }
     result.candidates = candidates.size();
     if (registry != nullptr) {

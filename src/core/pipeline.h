@@ -178,11 +178,11 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
                            const PipelineConfig& config);
 
 /// Name of the Fig. 1 phase a pipeline run is currently executing
-/// ("ingest", "blocking", "scheduling", "prepare", "matching",
-/// "clustering"), or nullptr outside any run. Written by the driving
-/// thread only; intended for crash/check-failure context handlers (see
-/// util::SetCheckContextHandler), where a slightly stale answer from a
-/// worker thread is acceptable.
+/// ("ingest", "blocking", "evaluation", "scheduling", "prepare",
+/// "matching", "clustering"), or nullptr outside any run. Written by the
+/// driving thread only; intended for crash/check-failure context handlers
+/// (see util::SetCheckContextHandler), where a slightly stale answer from
+/// a worker thread is acceptable.
 const char* ActivePipelinePhase();
 
 }  // namespace weber::core

@@ -1,6 +1,28 @@
 #include "eval/blocking_metrics.h"
 
+#include <algorithm>
+
 namespace weber::eval {
+
+namespace {
+
+/// True if the two ascending block lists share a block.
+bool ShareBlock(const std::vector<uint32_t>& a,
+                const std::vector<uint32_t>& b) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 double BlockingQuality::PairCompleteness() const {
   if (total_matches == 0) return 1.0;
@@ -38,11 +60,20 @@ BlockingQuality EvaluateBlocks(const blocking::BlockCollection& blocks,
     quality.total_possible_comparisons =
         blocks.collection()->TotalComparisons();
   }
-  blocks.VisitDistinctPairs(
-      [&quality, &truth](model::EntityId a, model::EntityId b) {
-        ++quality.comparisons;
-        if (truth.IsMatch(a, b)) ++quality.matches_covered;
-      });
+  quality.comparisons = blocks.CountDistinctPairs();
+  // Covered matches from the truth side: a closure pair is a candidate
+  // exactly when it is comparable and its two entities share a block.
+  const model::EntityCollection* collection = blocks.collection();
+  std::vector<std::vector<uint32_t>> index = blocks.EntityToBlocks();
+  for (const model::IdPair& pair : truth.AllMatches()) {
+    if (pair.high >= index.size()) continue;
+    if (collection != nullptr && !collection->Comparable(pair.low, pair.high)) {
+      continue;
+    }
+    if (ShareBlock(index[pair.low], index[pair.high])) {
+      ++quality.matches_covered;
+    }
+  }
   return quality;
 }
 
@@ -52,10 +83,12 @@ BlockingQuality EvaluatePairs(const std::vector<model::IdPair>& pairs,
   BlockingQuality quality;
   quality.total_matches = truth.NumMatches();
   quality.total_possible_comparisons = collection.TotalComparisons();
-  model::IdPairSet seen;
-  for (const model::IdPair& pair : pairs) {
-    if (!seen.insert(pair).second) continue;
-    ++quality.comparisons;
+  std::vector<model::IdPair> distinct = pairs;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  quality.comparisons = distinct.size();
+  for (const model::IdPair& pair : distinct) {
     if (truth.IsMatch(pair)) ++quality.matches_covered;
   }
   quality.comparisons_with_redundancy = pairs.size();

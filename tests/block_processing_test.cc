@@ -2,7 +2,6 @@
 
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
-#include "blocking/comparison_propagation.h"
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "eval/blocking_metrics.h"
@@ -125,55 +124,6 @@ TEST(BlockFilteringTest, EmptyInput) {
   model::EntityCollection c = TinyDirty(nullptr);
   BlockCollection blocks(&c);
   EXPECT_TRUE(FilterBlocks(blocks, 0.5).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Comparison propagation
-// ---------------------------------------------------------------------------
-
-TEST(ComparisonPropagationTest, EachPairVisitedExactlyOnce) {
-  model::EntityCollection c = TinyDirty(nullptr);
-  BlockCollection blocks(&c);
-  blocks.AddBlock(Block{"k1", {0, 1, 2}});
-  blocks.AddBlock(Block{"k2", {1, 2, 3}});
-  blocks.AddBlock(Block{"k3", {0, 3}});
-  ComparisonPropagation propagation(blocks);
-  model::IdPairSet seen;
-  propagation.VisitPairs([&seen](model::EntityId a, model::EntityId b) {
-    EXPECT_TRUE(seen.insert(model::IdPair::Of(a, b)).second)
-        << "pair visited twice: " << a << "," << b;
-  });
-  EXPECT_EQ(seen, blocks.DistinctPairs());
-}
-
-TEST(ComparisonPropagationTest, LeastCommonBlockIndexSemantics) {
-  model::EntityCollection c = TinyDirty(nullptr);
-  BlockCollection blocks(&c);
-  blocks.AddBlock(Block{"k1", {0, 1}});
-  blocks.AddBlock(Block{"k2", {0, 1}});
-  ComparisonPropagation propagation(blocks);
-  EXPECT_TRUE(propagation.IsLeastCommonBlock(0, 1, 0));
-  EXPECT_FALSE(propagation.IsLeastCommonBlock(0, 1, 1));
-}
-
-TEST(ComparisonPropagationTest, CountMatchesDistinctPairs) {
-  datagen::CorpusConfig config;
-  config.num_entities = 80;
-  config.seed = 33;
-  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
-  BlockCollection blocks = TokenBlocking().Build(corpus.collection);
-  ComparisonPropagation propagation(blocks);
-  EXPECT_EQ(propagation.CountDistinctPairs(), blocks.DistinctPairs().size());
-}
-
-TEST(ComparisonPropagationTest, NoCommonBlocks) {
-  model::EntityCollection c = TinyDirty(nullptr);
-  BlockCollection blocks(&c);
-  blocks.AddBlock(Block{"k1", {0, 1}});
-  blocks.AddBlock(Block{"k2", {2, 3}});
-  ComparisonPropagation propagation(blocks);
-  EXPECT_FALSE(propagation.IsLeastCommonBlock(0, 2, 0));
-  EXPECT_FALSE(propagation.IsLeastCommonBlock(0, 2, 1));
 }
 
 }  // namespace

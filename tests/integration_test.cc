@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "blocking/attribute_clustering.h"
@@ -34,6 +35,13 @@ struct IntegrationCase {
   /// standard corpus (the weaker windowed/phonetic methods recall less).
   double min_recall;
 };
+
+// The label already names each case. Without this printer gtest dumps the
+// case's raw bytes, heap addresses included, into the discovered test name,
+// so the name changed with every build.
+void PrintTo(const IntegrationCase& param, std::ostream* os) {
+  *os << "min_recall=" << param.min_recall;
+}
 
 class PipelineIntegration : public ::testing::TestWithParam<IntegrationCase> {
 };

@@ -280,8 +280,8 @@ TEST(PipelineObsTest, RunReportsSpansAndCounters) {
   const obs::SpanSnapshot& pipeline = snap.trace[0];
   EXPECT_EQ(pipeline.name, "pipeline");
   EXPECT_FALSE(pipeline.open);
-  for (const char* phase :
-       {"blocking", "scheduling", "matching", "clustering"}) {
+  for (const char* phase : {"blocking", "evaluation", "scheduling",
+                            "matching", "clustering"}) {
     const obs::SpanSnapshot* span = FindChild(pipeline, phase);
     ASSERT_NE(span, nullptr) << phase;
     EXPECT_FALSE(span->open) << phase;

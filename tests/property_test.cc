@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "blocking/comparison_propagation.h"
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
+#include "eval/blocking_metrics.h"
 #include "metablocking/pruning_schemes.h"
 #include "metablocking/weight_schemes.h"
 #include "progressive/partition_hierarchy.h"
@@ -77,37 +77,120 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomStringsProperty,
                          });
 
 // ---------------------------------------------------------------------------
-// Comparison propagation vs hash-set reference over random blocks
+// Least-common-block walk vs hash-set reference over random blocks
 // ---------------------------------------------------------------------------
+
+// The reference distinct-pair enumerator: every block in block order, its
+// pairs in (low, high) order, a pair kept the first time a set sees it.
+// So each pair lands in its least common block.
+std::vector<model::IdPair> ReferenceDistinctPairs(
+    const blocking::BlockCollection& blocks) {
+  const model::EntityCollection* collection = blocks.collection();
+  std::vector<model::IdPair> pairs;
+  model::IdPairSet seen;
+  for (const blocking::Block& block : blocks.blocks()) {
+    for (size_t i = 0; i < block.entities.size(); ++i) {
+      for (size_t j = i + 1; j < block.entities.size(); ++j) {
+        model::IdPair pair{block.entities[i], block.entities[j]};
+        if (collection != nullptr &&
+            !collection->Comparable(pair.low, pair.high)) {
+          continue;
+        }
+        if (seen.insert(pair).second) pairs.push_back(pair);
+      }
+    }
+  }
+  return pairs;
+}
+
+constexpr int kRandomEntities = 40;
+
+model::EntityCollection RandomCollection(bool clean_clean) {
+  std::vector<model::EntityDescription> descriptions;
+  for (int i = 0; i < kRandomEntities; ++i) {
+    model::EntityDescription d("u" + std::to_string(i));
+    d.AddPair("p", "x");
+    descriptions.push_back(d);
+  }
+  if (!clean_clean) return model::EntityCollection::Dirty(descriptions);
+  std::vector<model::EntityDescription> second(descriptions.begin() + 15,
+                                               descriptions.end());
+  descriptions.resize(15);
+  return model::EntityCollection::CleanClean(descriptions, second);
+}
+
+// Random, overlapping blocks over ids [0, kRandomEntities); AddBlock drops
+// the ones that collapse below two members or suggest no comparison.
+blocking::BlockCollection RandomBlocks(util::Rng& rng,
+                                       const model::EntityCollection* c) {
+  blocking::BlockCollection blocks(c);
+  size_t num_blocks = 5 + rng.NextBounded(15);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    blocking::Block block;
+    block.key = "b" + std::to_string(b);
+    size_t size = 1 + rng.NextBounded(9);
+    for (size_t k = 0; k < size; ++k) {
+      block.entities.push_back(
+          static_cast<model::EntityId>(rng.NextBounded(kRandomEntities)));
+    }
+    blocks.AddBlock(std::move(block));
+  }
+  return blocks;
+}
+
+// Random truth over a wider id range, so some matches fall outside every
+// block (and, for a null collection, outside the walk's index).
+model::GroundTruth RandomTruth(util::Rng& rng) {
+  model::GroundTruth truth;
+  for (int k = 0; k < 25; ++k) {
+    truth.AddMatch(
+        static_cast<model::EntityId>(rng.NextBounded(kRandomEntities + 5)),
+        static_cast<model::EntityId>(rng.NextBounded(kRandomEntities + 5)));
+  }
+  return truth;
+}
+
+void ExpectWalkMatchesReference(const blocking::BlockCollection& blocks,
+                                const model::GroundTruth& truth) {
+  std::vector<model::IdPair> reference = ReferenceDistinctPairs(blocks);
+  // Each pair once, in its least common block, in (low, high) order.
+  EXPECT_EQ(blocks.CandidatePairs(), reference);
+  EXPECT_EQ(blocks.CountDistinctPairs(), reference.size());
+  std::vector<model::IdPair> visited;
+  blocks.VisitDistinctPairs([&visited](model::EntityId a, model::EntityId b) {
+    visited.push_back(model::IdPair{a, b});
+  });
+  EXPECT_EQ(visited, reference);
+  EXPECT_EQ(blocks.DistinctPairs(),
+            model::IdPairSet(reference.begin(), reference.end()));
+
+  // The truth-side coverage count equals a per-pair IsMatch count.
+  uint64_t covered = 0;
+  for (const model::IdPair& pair : reference) {
+    if (truth.IsMatch(pair)) ++covered;
+  }
+  eval::BlockingQuality quality = eval::EvaluateBlocks(blocks, truth);
+  EXPECT_EQ(quality.comparisons, reference.size());
+  EXPECT_EQ(quality.matches_covered, covered);
+}
 
 class RandomBlocksProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomBlocksProperty, LeCoBIEqualsHashSetDedup) {
   util::Rng rng(GetParam());
-  model::EntityCollection c;
-  for (int i = 0; i < 40; ++i) {
-    model::EntityDescription d("u" + std::to_string(i));
-    d.AddPair("p", "x");
-    c.Add(d);
-  }
-  blocking::BlockCollection blocks(&c);
-  size_t num_blocks = 5 + rng.NextBounded(15);
-  for (size_t b = 0; b < num_blocks; ++b) {
-    blocking::Block block;
-    block.key = "b" + std::to_string(b);
-    size_t size = 2 + rng.NextBounded(8);
-    for (size_t k = 0; k < size; ++k) {
-      block.entities.push_back(
-          static_cast<model::EntityId>(rng.NextBounded(40)));
+  model::EntityCollection dirty = RandomCollection(/*clean_clean=*/false);
+  model::EntityCollection clean_clean = RandomCollection(/*clean_clean=*/true);
+  std::vector<const model::EntityCollection*> collections = {
+      &dirty, &clean_clean, nullptr};
+  for (const model::EntityCollection* c : collections) {
+    SCOPED_TRACE(c == nullptr ? "null collection"
+                 : c == &dirty ? "dirty" : "clean-clean");
+    for (int trial = 0; trial < 20; ++trial) {
+      ExpectWalkMatchesReference(RandomBlocks(rng, c), RandomTruth(rng));
     }
-    blocks.AddBlock(std::move(block));
   }
-  blocking::ComparisonPropagation propagation(blocks);
-  model::IdPairSet via_lecobi;
-  propagation.VisitPairs([&via_lecobi](model::EntityId a, model::EntityId b) {
-    EXPECT_TRUE(via_lecobi.insert(model::IdPair::Of(a, b)).second);
-  });
-  EXPECT_EQ(via_lecobi, blocks.DistinctPairs());
+  // No blocks at all: nothing to enumerate, nothing covered.
+  ExpectWalkMatchesReference(blocking::BlockCollection(), RandomTruth(rng));
 }
 
 TEST_P(RandomBlocksProperty, MetaBlockingReciprocalSubsetInvariant) {
