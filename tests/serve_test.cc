@@ -25,6 +25,7 @@
 #include "incremental/serving.h"
 #include "matching/matcher.h"
 #include "model/entity.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -104,24 +105,49 @@ TEST(ShardedResolverTest, DigestEqualAcrossShardCountsAndThreads) {
 
 TEST(ShardedResolverTest, MatchesSingleStoreResolver) {
   const std::vector<model::EntityDescription> stream = ShuffledCorpus(100, 3);
-
-  matching::TokenJaccardMatcher matcher;
-  incremental::IncrementalResolver reference(&matcher, {});
-  for (size_t i = 0; i < stream.size(); i += 5) {
-    size_t end = std::min(i + 5, stream.size());
-    reference.Ingest(std::vector<model::EntityDescription>(
-        stream.begin() + i, stream.begin() + end));
+  model::EntityCollection collection;
+  for (const model::EntityDescription& description : stream) {
+    collection.Add(description);
   }
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedResolverOptions options;
-    options.shards = shards;
-    ShardedResolver sharded(&matcher, options);
-    IngestStream(&sharded, stream, 5);
-    EXPECT_EQ(sharded.matches(), reference.matches());
-    EXPECT_EQ(sharded.Clusters(), reference.Clusters());
-    EXPECT_EQ(sharded.comparisons(), reference.comparisons());
+  // Every matcher type the cross-store engine scores, so each prepared
+  // scoring routine is pinned against the single-store resolver.
+  matching::TokenJaccardMatcher jaccard;
+  matching::TokenOverlapMatcher overlap;
+  matching::TfIdfCosineMatcher tfidf(collection);
+  matching::WeightedAttributeMatcher weighted(
+      {{"attr0", 2.0, true}, {"attr1", 1.0, false}});
+  matching::CompositeMatcher maximum(
+      {&weighted, &overlap}, {}, matching::CompositeMatcher::Combine::kMax);
+  for (const matching::Matcher* matcher :
+       std::vector<const matching::Matcher*>{&jaccard, &overlap, &tfidf,
+                                             &weighted, &maximum}) {
+    SCOPED_TRACE(matcher->name());
+    incremental::IncrementalResolver reference(matcher, {});
+    for (size_t i = 0; i < stream.size(); i += 5) {
+      size_t end = std::min(i + 5, stream.size());
+      reference.Ingest(std::vector<model::EntityDescription>(
+          stream.begin() + i, stream.begin() + end));
+    }
+
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      obs::MetricsRegistry registry;
+      ShardedResolverOptions options;
+      options.shards = shards;
+      options.metrics = &registry;
+      ShardedResolver sharded(matcher, options);
+      IngestStream(&sharded, stream, 5);
+      EXPECT_EQ(sharded.matches(), reference.matches());
+      EXPECT_EQ(sharded.Clusters(), reference.Clusters());
+      EXPECT_EQ(sharded.comparisons(), reference.comparisons());
+
+      // The string path is bit-equal, so only the counters can tell that
+      // the prepared engine did the scoring.
+      obs::RegistrySnapshot snapshot = registry.TakeSnapshot();
+      EXPECT_GT(snapshot.counters["weber.matching.signature.comparisons"], 0u);
+      EXPECT_EQ(snapshot.counters["weber.matching.signature.fallbacks"], 0u);
+    }
   }
 }
 

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,40 +124,57 @@ void ExpectBitEqual(const model::EntityCollection& collection,
   }
 }
 
-// Runs the bit-equality check for every prepared matcher type over one
-// collection, under the given parallelism (the store build is parallel;
-// its arenas must not depend on the thread count).
-void CheckAllMatchers(const model::EntityCollection& collection,
-                      const model::GroundTruth& truth, size_t threads) {
-  core::ScopedParallelism parallelism(threads);
+// Every matcher type the engine prepares, over one collection; the oracle
+// comes last so the cross-store check can leave it out.
+struct AllMatchers {
+  AllMatchers(const model::EntityCollection& collection,
+              const model::GroundTruth& truth)
+      : tfidf(collection),
+        oracle(collection, truth, /*error_rate=*/0.1, /*seed=*/5) {}
+
+  std::vector<const Matcher*> All() const {
+    return {&jaccard, &overlap, &tfidf,   &weighted,
+            &average, &maximum, &minimum, &oracle};
+  }
 
   TokenJaccardMatcher jaccard;
   TokenOverlapMatcher overlap;
-  TfIdfCosineMatcher tfidf(collection);
-  WeightedAttributeMatcher weighted({{"attr0", 2.0, true},
+  TfIdfCosineMatcher tfidf;
+  WeightedAttributeMatcher weighted{{{"attr0", 2.0, true},
                                      {"attr1", 1.0, false},
-                                     {"no_such_attribute", 0.5, true}});
-  CompositeMatcher average({&jaccard, &weighted}, {0.7, 0.3},
-                           CompositeMatcher::Combine::kWeightedAverage);
-  CompositeMatcher maximum({&jaccard, &overlap}, {},
-                           CompositeMatcher::Combine::kMax);
-  CompositeMatcher minimum({&jaccard, &overlap}, {},
-                           CompositeMatcher::Combine::kMin);
-  OracleMatcher oracle(collection, truth, /*error_rate=*/0.1, /*seed=*/5);
+                                     {"no_such_attribute", 0.5, true}}};
+  CompositeMatcher average{{&jaccard, &weighted},
+                           {0.7, 0.3},
+                           CompositeMatcher::Combine::kWeightedAverage};
+  CompositeMatcher maximum{
+      {&jaccard, &overlap}, {}, CompositeMatcher::Combine::kMax};
+  CompositeMatcher minimum{
+      {&jaccard, &overlap}, {}, CompositeMatcher::Combine::kMin};
+  OracleMatcher oracle;
+};
 
-  // Every reachable dispatch level must reproduce the string path
-  // bit-for-bit: the SIMD kernels count exactly, so switching them can
-  // never move a similarity or flip a verdict.
+// Every reachable dispatch level must reproduce the string path
+// bit-for-bit: the SIMD kernels count exactly, so switching them can
+// never move a similarity or flip a verdict.
+std::vector<util::IntersectKernel> AvailableKernels() {
   std::vector<util::IntersectKernel> kernels = {util::IntersectKernel::kScalar};
   for (util::IntersectKernel kernel :
        {util::IntersectKernel::kSse4, util::IntersectKernel::kAvx2}) {
     if (util::SetIntersectKernel(kernel)) kernels.push_back(kernel);
   }
   util::ResetIntersectKernel();
+  return kernels;
+}
 
-  const Matcher* matchers[] = {&jaccard, &overlap, &tfidf,   &weighted,
-                               &average, &maximum, &minimum, &oracle};
-  for (const Matcher* matcher : matchers) {
+// Runs the bit-equality check for every prepared matcher type over one
+// collection, under the given parallelism (the store build is parallel;
+// its arenas must not depend on the thread count).
+void CheckAllMatchers(const model::EntityCollection& collection,
+                      const model::GroundTruth& truth, size_t threads) {
+  core::ScopedParallelism parallelism(threads);
+  AllMatchers matchers(collection, truth);
+  std::vector<util::IntersectKernel> kernels = AvailableKernels();
+  for (const Matcher* matcher : matchers.All()) {
     ASSERT_TRUE(Preparable(*matcher)) << matcher->name();
     SignatureStore store =
         SignatureStore::Build(collection, OptionsFor(*matcher));
@@ -164,6 +183,96 @@ void CheckAllMatchers(const model::EntityCollection& collection,
     for (util::IntersectKernel kernel : kernels) {
       ASSERT_TRUE(util::SetIntersectKernel(kernel));
       ExpectBitEqual(collection, *matcher, *prepared);
+    }
+    util::ResetIntersectKernel();
+  }
+}
+
+// Re-homes every signature of `source` into kCrossStores stores built with
+// the same options, laid out like the sharded resolver's shards: entity id
+// lives in store id % kCrossStores at row id / kCrossStores. Each store
+// resolves its rows' descriptions for the string-path fallback.
+constexpr model::EntityId kCrossStores = 3;
+
+std::vector<SignatureStore> SplitAcrossStores(
+    const SignatureStore& source, const model::EntityCollection& collection) {
+  std::vector<SignatureStore> stores;
+  stores.reserve(kCrossStores);
+  for (model::EntityId k = 0; k < kCrossStores; ++k) {
+    stores.emplace_back(source.options());
+    stores.back().SetDescriptionProvider(
+        [&collection, k](model::EntityId row) -> const model::EntityDescription* {
+          model::EntityId id = row * kCrossStores + k;
+          return id < collection.size() ? &collection[id] : nullptr;
+        });
+  }
+  for (model::EntityId id = 0; id < collection.size(); ++id) {
+    InternedSignature signature;
+    signature.token_ids = source.TokenSet(id);
+    if (source.has_tfidf(id)) {
+      for (const TfIdfTerm& term : source.tfidf(id)) {
+        signature.tfidf.entries.emplace_back(term.token, term.weight);
+      }
+    }
+    if (source.has_attributes(id)) {
+      for (const SignatureStore::AttributeSlot& slot :
+           source.attribute_slots(id)) {
+        InternedSignature::Attribute& attribute =
+            signature.attributes.emplace_back();
+        if (slot.value_index == SignatureStore::kNoValue) continue;
+        attribute.present = true;
+        attribute.value = source.value(slot.value_index);
+        std::span<const uint32_t> tokens = source.slot_tokens(slot);
+        attribute.token_ids.assign(tokens.begin(), tokens.end());
+      }
+    }
+    stores[id % kCrossStores].AbsorbPrepared(id / kCrossStores,
+                                             std::move(signature));
+  }
+  return stores;
+}
+
+// The cross-store form of CheckAllMatchers: PrepareCross scoring signatures
+// that live in different stores must be bit-equal to the string path on
+// every ordered pair, at every kernel, for every matcher but the oracle
+// (whose canonical-id table is bound to one collection).
+void CheckAllMatchersCrossStore(const model::EntityCollection& collection,
+                                const model::GroundTruth& truth) {
+  AllMatchers matchers(collection, truth);
+  EXPECT_EQ(PrepareCross(matchers.oracle, OptionsFor(matchers.oracle)),
+            nullptr);
+  const double thresholds[] = {0.0, 0.25, 0.5,
+                               0.75, 1.0, std::nextafter(1.0, 2.0),
+                               std::numeric_limits<double>::quiet_NaN()};
+  for (const Matcher* matcher : matchers.All()) {
+    if (matcher == &matchers.oracle) continue;
+    SignatureOptions options = OptionsFor(*matcher);
+    SignatureStore source = SignatureStore::Build(collection, options);
+    std::vector<SignatureStore> stores = SplitAcrossStores(source, collection);
+    auto cross = PrepareCross(*matcher, options);
+    ASSERT_NE(cross, nullptr) << matcher->name();
+    for (util::IntersectKernel kernel : AvailableKernels()) {
+      ASSERT_TRUE(util::SetIntersectKernel(kernel));
+      for (model::EntityId a = 0; a < collection.size(); ++a) {
+        const SignatureStore& sa = stores[a % kCrossStores];
+        for (model::EntityId b = 0; b < collection.size(); ++b) {
+          const SignatureStore& sb = stores[b % kCrossStores];
+          double expected = matcher->Similarity(collection[a], collection[b]);
+          double got = cross->Similarity(sa, a / kCrossStores, sb,
+                                         b / kCrossStores);
+          ASSERT_EQ(std::bit_cast<uint64_t>(expected),
+                    std::bit_cast<uint64_t>(got))
+              << matcher->name() << " pair (" << a << "," << b << "): "
+              << expected << " vs " << got;
+          for (double t : thresholds) {
+            ASSERT_EQ(expected >= t,
+                      cross->Matches(sa, a / kCrossStores, sb,
+                                     b / kCrossStores, t))
+                << matcher->name() << " pair (" << a << "," << b
+                << ") threshold " << t;
+          }
+        }
+      }
     }
     util::ResetIntersectKernel();
   }
@@ -194,6 +303,24 @@ TEST_P(SignatureProperty, PreparedMatchersBitEqualOnCleanCleanCorpus) {
   for (size_t threads : {size_t{1}, size_t{8}}) {
     CheckAllMatchers(corpus.collection, corpus.truth, threads);
   }
+}
+
+TEST_P(SignatureProperty, CrossStoreMatchersBitEqualAcrossThreeStores) {
+  datagen::CorpusConfig dirty;
+  dirty.num_entities = 30;
+  dirty.duplicate_fraction = 0.6;
+  dirty.somehow_similar_fraction = 0.4;
+  dirty.seed = GetParam();
+  datagen::Corpus corpus = datagen::CorpusGenerator(dirty).GenerateDirty();
+  CheckAllMatchersCrossStore(corpus.collection, corpus.truth);
+
+  datagen::CorpusConfig clean;
+  clean.num_entities = 30;
+  clean.duplicate_fraction = 0.5;
+  clean.schema_divergence = 0.3;
+  clean.seed = GetParam() ^ 0xC1EA;
+  corpus = datagen::CorpusGenerator(clean).GenerateCleanClean();
+  CheckAllMatchersCrossStore(corpus.collection, corpus.truth);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SignatureProperty,
