@@ -107,15 +107,19 @@ PipelineResult RunShardedIncrementalPipeline(
   serve::ShardedResolver& resolver = service.resolver();
   model::EntityCollection store_collection = resolver.CollectionSnapshot();
 
+  blocking::BlockCollection blocks;
   {
     obs::Span span(registry, "blocking");
     PhaseScope phase("blocking");
-    blocking::BlockCollection blocks =
-        resolver.IndexBlocks(&store_collection);
-    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
+    blocks = resolver.IndexBlocks(&store_collection);
     if (registry != nullptr) {
       registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
     }
+  }
+  {
+    obs::Span span(registry, "evaluation");
+    PhaseScope phase("evaluation");
+    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
   }
   result.blocking_seconds = timer.ElapsedSeconds();
 
@@ -221,15 +225,19 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
   incremental::IncrementalResolver& resolver = service.resolver();
 
   // ---- Blocking quality, from the delta index's exported blocks. ----
+  blocking::BlockCollection blocks;
   {
     obs::Span span(registry, "blocking");
     PhaseScope phase("blocking");
-    blocking::BlockCollection blocks =
-        resolver.IndexBlocks(&resolver.store().collection());
-    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
+    blocks = resolver.IndexBlocks(&resolver.store().collection());
     if (registry != nullptr) {
       registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
     }
+  }
+  {
+    obs::Span span(registry, "evaluation");
+    PhaseScope phase("evaluation");
+    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
   }
   result.blocking_seconds = timer.ElapsedSeconds();
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -20,8 +19,6 @@
 namespace weber::matching {
 
 namespace {
-
-constexpr size_t kNoIndex = static_cast<size_t>(-1);
 
 void Bump(obs::Counter* counter) {
   if (counter != nullptr) counter->Add(1);
@@ -136,51 +133,57 @@ double SparseDot(std::span<const TfIdfTerm> a, std::span<const TfIdfTerm> b) {
   return dot;
 }
 
-/// Scores a pair via the string twin on provider-resolved descriptions;
-/// the shared fallback of every prepared matcher. An unresolvable id
-/// scores 0.0 — wired consumers always install a provider that covers
-/// every id they compare.
-double StringFallback(const Matcher& twin, const SignatureStore& store,
-                      const PreparedCounters& counters, model::EntityId a,
-                      model::EntityId b) {
+/// Scores a pair via the string twin on descriptions each side's store
+/// resolves through its provider; the shared fallback of every prepared
+/// matcher. An unresolvable id scores 0.0 — wired consumers always install
+/// a provider that covers every id they compare.
+double StringFallback(const Matcher& twin, const PreparedCounters& counters,
+                      const SignatureStore& sa, model::EntityId a,
+                      const SignatureStore& sb, model::EntityId b) {
   Bump(counters.fallbacks);
-  const model::EntityDescription* desc_a = store.description(a);
-  const model::EntityDescription* desc_b = store.description(b);
+  const model::EntityDescription* desc_a = sa.description(a);
+  const model::EntityDescription* desc_b = sb.description(b);
   if (desc_a == nullptr || desc_b == nullptr) return 0.0;
   return twin.Similarity(*desc_a, *desc_b);
 }
 
 // ---------------------------------------------------------------------------
-// Prepared matchers.
+// Prepared matchers. Each scores (sa, a) against (sb, b); `bound` is the
+// store of the one-store forms, null for a PrepareCross matcher.
 // ---------------------------------------------------------------------------
 
 class PreparedTokenJaccard final : public PreparedMatcher {
  public:
   PreparedTokenJaccard(const TokenJaccardMatcher& twin,
-                       const SignatureStore& store)
-      : twin_(twin), store_(store), counters_(PreparedCounters::Ambient()) {}
+                       const SignatureStore* bound)
+      : PreparedMatcher(bound),
+        twin_(twin),
+        counters_(PreparedCounters::Ambient()) {}
 
-  double Similarity(model::EntityId a, model::EntityId b) const override {
-    if (!store_.contains(a) || !store_.contains(b)) {
-      return StringFallback(twin_, store_, counters_, a, b);
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
+    if (!sa.contains(a) || !sb.contains(b)) {
+      return StringFallback(twin_, counters_, sa, a, sb, b);
     }
     Bump(counters_.comparisons);
-    const PostingView ta = store_.posting(a);
-    const PostingView tb = store_.posting(b);
+    const PostingView ta = sa.posting(a);
+    const PostingView tb = sb.posting(b);
     size_t inter = PostingIntersectSize(ta, tb);
     size_t union_size = size_t{ta.size} + tb.size - inter;
     if (union_size == 0) return 1.0;
     return static_cast<double>(inter) / static_cast<double>(union_size);
   }
 
-  bool Matches(model::EntityId a, model::EntityId b,
+  bool Matches(const SignatureStore& sa, model::EntityId a,
+               const SignatureStore& sb, model::EntityId b,
                double threshold) const override {
-    if (!store_.contains(a) || !store_.contains(b)) {
-      return StringFallback(twin_, store_, counters_, a, b) >= threshold;
+    if (!sa.contains(a) || !sb.contains(b)) {
+      return StringFallback(twin_, counters_, sa, a, sb, b) >= threshold;
     }
     Bump(counters_.comparisons);
-    const PostingView ta = store_.posting(a);
-    const PostingView tb = store_.posting(b);
+    const PostingView ta = sa.posting(a);
+    const PostingView tb = sb.posting(b);
     if (ta.empty() && tb.empty()) return 1.0 >= threshold;
     size_t required = RequiredOverlapJaccard(ta.size, tb.size, threshold);
     if (required > std::min<size_t>(ta.size, tb.size)) {
@@ -198,37 +201,41 @@ class PreparedTokenJaccard final : public PreparedMatcher {
 
  private:
   const TokenJaccardMatcher& twin_;
-  const SignatureStore& store_;
   PreparedCounters counters_;
 };
 
 class PreparedTokenOverlap final : public PreparedMatcher {
  public:
   PreparedTokenOverlap(const TokenOverlapMatcher& twin,
-                       const SignatureStore& store)
-      : twin_(twin), store_(store), counters_(PreparedCounters::Ambient()) {}
+                       const SignatureStore* bound)
+      : PreparedMatcher(bound),
+        twin_(twin),
+        counters_(PreparedCounters::Ambient()) {}
 
-  double Similarity(model::EntityId a, model::EntityId b) const override {
-    if (!store_.contains(a) || !store_.contains(b)) {
-      return StringFallback(twin_, store_, counters_, a, b);
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
+    if (!sa.contains(a) || !sb.contains(b)) {
+      return StringFallback(twin_, counters_, sa, a, sb, b);
     }
     Bump(counters_.comparisons);
-    const PostingView ta = store_.posting(a);
-    const PostingView tb = store_.posting(b);
+    const PostingView ta = sa.posting(a);
+    const PostingView tb = sb.posting(b);
     size_t smaller = std::min<size_t>(ta.size, tb.size);
     if (smaller == 0) return ta.size == tb.size ? 1.0 : 0.0;
     size_t inter = PostingIntersectSize(ta, tb);
     return static_cast<double>(inter) / static_cast<double>(smaller);
   }
 
-  bool Matches(model::EntityId a, model::EntityId b,
+  bool Matches(const SignatureStore& sa, model::EntityId a,
+               const SignatureStore& sb, model::EntityId b,
                double threshold) const override {
-    if (!store_.contains(a) || !store_.contains(b)) {
-      return StringFallback(twin_, store_, counters_, a, b) >= threshold;
+    if (!sa.contains(a) || !sb.contains(b)) {
+      return StringFallback(twin_, counters_, sa, a, sb, b) >= threshold;
     }
     Bump(counters_.comparisons);
-    const PostingView ta = store_.posting(a);
-    const PostingView tb = store_.posting(b);
+    const PostingView ta = sa.posting(a);
+    const PostingView tb = sb.posting(b);
     size_t smaller = std::min<size_t>(ta.size, tb.size);
     if (smaller == 0) {
       return (ta.size == tb.size ? 1.0 : 0.0) >= threshold;
@@ -249,52 +256,56 @@ class PreparedTokenOverlap final : public PreparedMatcher {
 
  private:
   const TokenOverlapMatcher& twin_;
-  const SignatureStore& store_;
   PreparedCounters counters_;
 };
 
 class PreparedTfIdfCosine final : public PreparedMatcher {
  public:
   PreparedTfIdfCosine(const TfIdfCosineMatcher& twin,
-                      const SignatureStore& store)
-      : twin_(twin), store_(store), counters_(PreparedCounters::Ambient()) {}
+                      const SignatureStore* bound)
+      : PreparedMatcher(bound),
+        twin_(twin),
+        counters_(PreparedCounters::Ambient()) {}
 
   // No Matches override: a partial dot product admits no sound bound
   // against the threshold (remaining weights are unknown), so the decision
   // always computes the full similarity.
-  double Similarity(model::EntityId a, model::EntityId b) const override {
-    if (!store_.has_tfidf(a) || !store_.has_tfidf(b)) {
-      return StringFallback(twin_, store_, counters_, a, b);
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
+    if (!sa.has_tfidf(a) || !sb.has_tfidf(b)) {
+      return StringFallback(twin_, counters_, sa, a, sb, b);
     }
     Bump(counters_.comparisons);
-    return SparseDot(store_.tfidf(a), store_.tfidf(b));
+    return SparseDot(sa.tfidf(a), sb.tfidf(b));
   }
 
   std::string name() const override { return "Prepared(TfIdfCosine)"; }
 
  private:
   const TfIdfCosineMatcher& twin_;
-  const SignatureStore& store_;
   PreparedCounters counters_;
 };
 
 class PreparedWeightedAttribute final : public PreparedMatcher {
  public:
   PreparedWeightedAttribute(const WeightedAttributeMatcher& twin,
-                            const SignatureStore& store,
+                            const SignatureStore* bound,
                             std::vector<size_t> rule_slots)
-      : twin_(twin),
-        store_(store),
+      : PreparedMatcher(bound),
+        twin_(twin),
         rule_slots_(std::move(rule_slots)),
         counters_(PreparedCounters::Ambient()) {}
 
-  double Similarity(model::EntityId a, model::EntityId b) const override {
-    if (!store_.has_attributes(a) || !store_.has_attributes(b)) {
-      return StringFallback(twin_, store_, counters_, a, b);
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
+    if (!sa.has_attributes(a) || !sb.has_attributes(b)) {
+      return StringFallback(twin_, counters_, sa, a, sb, b);
     }
     Bump(counters_.comparisons);
-    auto slots_a = store_.attribute_slots(a);
-    auto slots_b = store_.attribute_slots(b);
+    auto slots_a = sa.attribute_slots(a);
+    auto slots_b = sb.attribute_slots(b);
     double total_weight = 0.0;
     double score = 0.0;
     const std::vector<AttributeRule>& rules = twin_.rules();
@@ -309,11 +320,11 @@ class PreparedWeightedAttribute final : public PreparedMatcher {
       }
       double sim;
       if (rule.use_jaro_winkler) {
-        sim = text::JaroWinklerSimilarity(store_.value(slot_a.value_index),
-                                          store_.value(slot_b.value_index));
+        sim = text::JaroWinklerSimilarity(sa.value(slot_a.value_index),
+                                          sb.value(slot_b.value_index));
       } else {
-        auto ta = store_.slot_tokens(slot_a);
-        auto tb = store_.slot_tokens(slot_b);
+        auto ta = sa.slot_tokens(slot_a);
+        auto tb = sb.slot_tokens(slot_b);
         size_t inter = util::SortedIntersectSize(ta, tb);
         size_t union_size = ta.size() + tb.size() - inter;
         sim = union_size == 0 ? 1.0
@@ -330,7 +341,6 @@ class PreparedWeightedAttribute final : public PreparedMatcher {
 
  private:
   const WeightedAttributeMatcher& twin_;
-  const SignatureStore& store_;
   std::vector<size_t> rule_slots_;  // rules()[k] -> attribute slot index.
   PreparedCounters counters_;
 };
@@ -340,11 +350,15 @@ class PreparedWeightedAttribute final : public PreparedMatcher {
 /// components it does understand.
 class PreparedStringBridge final : public PreparedMatcher {
  public:
-  PreparedStringBridge(const Matcher& twin, const SignatureStore& store)
-      : twin_(twin), store_(store), counters_(PreparedCounters::Ambient()) {}
+  PreparedStringBridge(const Matcher& twin, const SignatureStore* bound)
+      : PreparedMatcher(bound),
+        twin_(twin),
+        counters_(PreparedCounters::Ambient()) {}
 
-  double Similarity(model::EntityId a, model::EntityId b) const override {
-    return StringFallback(twin_, store_, counters_, a, b);
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
+    return StringFallback(twin_, counters_, sa, a, sb, b);
   }
 
   std::string name() const override {
@@ -353,17 +367,20 @@ class PreparedStringBridge final : public PreparedMatcher {
 
  private:
   const Matcher& twin_;
-  const SignatureStore& store_;
   PreparedCounters counters_;
 };
 
 class PreparedComposite final : public PreparedMatcher {
  public:
-  PreparedComposite(const CompositeMatcher& twin,
+  PreparedComposite(const CompositeMatcher& twin, const SignatureStore* bound,
                     std::vector<std::unique_ptr<PreparedMatcher>> components)
-      : twin_(twin), components_(std::move(components)) {}
+      : PreparedMatcher(bound),
+        twin_(twin),
+        components_(std::move(components)) {}
 
-  double Similarity(model::EntityId a, model::EntityId b) const override {
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
     if (components_.empty()) return 0.0;
     switch (twin_.combine()) {
       case CompositeMatcher::Combine::kWeightedAverage: {
@@ -373,21 +390,21 @@ class PreparedComposite final : public PreparedMatcher {
         for (size_t i = 0; i < components_.size(); ++i) {
           double weight = i < weights.size() ? weights[i] : 1.0;
           total_weight += weight;
-          score += weight * components_[i]->Similarity(a, b);
+          score += weight * components_[i]->Similarity(sa, a, sb, b);
         }
         return total_weight > 0.0 ? score / total_weight : 0.0;
       }
       case CompositeMatcher::Combine::kMax: {
         double best = 0.0;
         for (const auto& component : components_) {
-          best = std::max(best, component->Similarity(a, b));
+          best = std::max(best, component->Similarity(sa, a, sb, b));
         }
         return best;
       }
       case CompositeMatcher::Combine::kMin: {
         double worst = 1.0;
         for (const auto& component : components_) {
-          worst = std::min(worst, component->Similarity(a, b));
+          worst = std::min(worst, component->Similarity(sa, a, sb, b));
         }
         return worst;
       }
@@ -395,26 +412,27 @@ class PreparedComposite final : public PreparedMatcher {
     return 0.0;
   }
 
-  bool Matches(model::EntityId a, model::EntityId b,
+  bool Matches(const SignatureStore& sa, model::EntityId a,
+               const SignatureStore& sb, model::EntityId b,
                double threshold) const override {
     if (components_.empty()) return 0.0 >= threshold;
     switch (twin_.combine()) {
       case CompositeMatcher::Combine::kMax:
         // max(0.0, sims) >= t  <=>  some sim >= t, or 0.0 >= t.
         for (const auto& component : components_) {
-          if (component->Matches(a, b, threshold)) return true;
+          if (component->Matches(sa, a, sb, b, threshold)) return true;
         }
         return 0.0 >= threshold;
       case CompositeMatcher::Combine::kMin:
         // min(1.0, sims) >= t  <=>  every sim >= t and 1.0 >= t.
         for (const auto& component : components_) {
-          if (!component->Matches(a, b, threshold)) return false;
+          if (!component->Matches(sa, a, sb, b, threshold)) return false;
         }
         return 1.0 >= threshold;
       case CompositeMatcher::Combine::kWeightedAverage:
         break;  // No per-component shortcut is sound for an average.
     }
-    return Similarity(a, b) >= threshold;
+    return Similarity(sa, a, sb, b) >= threshold;
   }
 
   std::string name() const override { return "Prepared(Composite)"; }
@@ -424,10 +442,14 @@ class PreparedComposite final : public PreparedMatcher {
   std::vector<std::unique_ptr<PreparedMatcher>> components_;
 };
 
+/// Single-store only: the canonical-id table indexes the one collection
+/// the bound store interned, so both sides must be that store.
 class PreparedOracle final : public PreparedMatcher {
  public:
   PreparedOracle(const OracleMatcher& twin, const SignatureStore& store)
-      : twin_(twin), store_(store), counters_(PreparedCounters::Ambient()) {
+      : PreparedMatcher(&store),
+        twin_(twin),
+        counters_(PreparedCounters::Ambient()) {
     // The string path resolves each description's URI through the
     // collection per pair; on duplicate URIs the first id wins. Resolving
     // every id once here reproduces that canonicalisation exactly.
@@ -440,9 +462,12 @@ class PreparedOracle final : public PreparedMatcher {
     }
   }
 
-  double Similarity(model::EntityId a, model::EntityId b) const override {
+  double Similarity(const SignatureStore& sa, model::EntityId a,
+                    const SignatureStore& sb,
+                    model::EntityId b) const override {
+    WEBER_DCHECK(&sa == &sb) << "the oracle scores within one store";
     if (a >= canonical_.size() || b >= canonical_.size()) {
-      return StringFallback(twin_, store_, counters_, a, b);
+      return StringFallback(twin_, counters_, sa, a, sb, b);
     }
     Bump(counters_.comparisons);
     return twin_.SimilarityById(canonical_[a], canonical_[b]);
@@ -452,7 +477,6 @@ class PreparedOracle final : public PreparedMatcher {
 
  private:
   const OracleMatcher& twin_;
-  const SignatureStore& store_;
   std::vector<model::EntityId> canonical_;
   PreparedCounters counters_;
 };
@@ -732,13 +756,6 @@ void SignatureStore::Release(model::EntityId id) {
   entries_.MutableVector()[id] = Entry{};
 }
 
-size_t SignatureStore::AttributeIndex(std::string_view attribute) const {
-  for (size_t i = 0; i < options_.attributes.size(); ++i) {
-    if (options_.attributes[i] == attribute) return i;
-  }
-  return kNoIndex;
-}
-
 size_t SignatureStore::ArenaBytes() const {
   size_t bytes = posting_arena_.ByteSize() +
                  tokens_.size() * sizeof(uint32_t) +
@@ -896,392 +913,73 @@ bool Preparable(const Matcher& matcher) {
   return dynamic_cast<const CompositeMatcher*>(&matcher) != nullptr;
 }
 
-std::unique_ptr<PreparedMatcher> Prepare(const Matcher& matcher,
-                                         const SignatureStore& store) {
+namespace {
+
+/// The one factory ladder behind Prepare (`bound` = the store) and
+/// PrepareCross (`bound` = null): both build the same classes over stores
+/// configured with `options`.
+std::unique_ptr<PreparedMatcher> PrepareFor(const Matcher& matcher,
+                                            const SignatureOptions& options,
+                                            const SignatureStore* bound) {
   if (const auto* jaccard = dynamic_cast<const TokenJaccardMatcher*>(&matcher)) {
-    return std::make_unique<PreparedTokenJaccard>(*jaccard, store);
+    return std::make_unique<PreparedTokenJaccard>(*jaccard, bound);
   }
   if (const auto* overlap = dynamic_cast<const TokenOverlapMatcher*>(&matcher)) {
-    return std::make_unique<PreparedTokenOverlap>(*overlap, store);
+    return std::make_unique<PreparedTokenOverlap>(*overlap, bound);
   }
   if (const auto* tfidf = dynamic_cast<const TfIdfCosineMatcher*>(&matcher)) {
     // Vectors from a different model would not be bit-equal.
-    if (store.options().tfidf_model != &tfidf->model()) return nullptr;
-    return std::make_unique<PreparedTfIdfCosine>(*tfidf, store);
+    if (options.tfidf_model != &tfidf->model()) return nullptr;
+    return std::make_unique<PreparedTfIdfCosine>(*tfidf, bound);
   }
   if (const auto* weighted =
           dynamic_cast<const WeightedAttributeMatcher*>(&matcher)) {
+    const std::vector<std::string>& attributes = options.attributes;
     std::vector<size_t> rule_slots;
     rule_slots.reserve(weighted->rules().size());
     for (const AttributeRule& rule : weighted->rules()) {
-      size_t slot = store.AttributeIndex(rule.attribute);
-      if (slot == kNoIndex) return nullptr;
-      rule_slots.push_back(slot);
+      auto it = std::find(attributes.begin(), attributes.end(), rule.attribute);
+      if (it == attributes.end()) return nullptr;
+      rule_slots.push_back(static_cast<size_t>(it - attributes.begin()));
     }
-    return std::make_unique<PreparedWeightedAttribute>(*weighted, store,
+    return std::make_unique<PreparedWeightedAttribute>(*weighted, bound,
                                                        std::move(rule_slots));
   }
   if (const auto* composite = dynamic_cast<const CompositeMatcher*>(&matcher)) {
     std::vector<std::unique_ptr<PreparedMatcher>> components;
     components.reserve(composite->components().size());
     for (const Matcher* component : composite->components()) {
-      std::unique_ptr<PreparedMatcher> prepared = Prepare(*component, store);
+      std::unique_ptr<PreparedMatcher> prepared =
+          PrepareFor(*component, options, bound);
       if (prepared == nullptr) {
-        prepared = std::make_unique<PreparedStringBridge>(*component, store);
+        prepared = std::make_unique<PreparedStringBridge>(*component, bound);
       }
       components.push_back(std::move(prepared));
     }
-    return std::make_unique<PreparedComposite>(*composite,
+    return std::make_unique<PreparedComposite>(*composite, bound,
                                                std::move(components));
   }
   if (const auto* oracle = dynamic_cast<const OracleMatcher*>(&matcher)) {
-    // The canonical-id table only reproduces the string path when the
+    // The canonical-id table only reproduces the string path when one
     // store interned the very collection the oracle resolves against.
-    if (store.collection() != &oracle->collection()) return nullptr;
-    return std::make_unique<PreparedOracle>(*oracle, store);
+    if (bound == nullptr || bound->collection() != &oracle->collection()) {
+      return nullptr;
+    }
+    return std::make_unique<PreparedOracle>(*oracle, *bound);
   }
   return nullptr;
 }
-
-// ---------------------------------------------------------------------------
-// Cross-store matchers — the same arithmetic as the Prepared* twins above,
-// with the two signatures resolved from independent stores. Any change to
-// a Prepared matcher's scoring must be mirrored here (serve_test pins the
-// bit-equality).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Cross-store analogue of StringFallback: each store resolves its own id.
-double CrossStringFallback(const Matcher& twin,
-                           const PreparedCounters& counters,
-                           const SignatureStore& sa, model::EntityId a,
-                           const SignatureStore& sb, model::EntityId b) {
-  Bump(counters.fallbacks);
-  const model::EntityDescription* desc_a = sa.description(a);
-  const model::EntityDescription* desc_b = sb.description(b);
-  if (desc_a == nullptr || desc_b == nullptr) return 0.0;
-  return twin.Similarity(*desc_a, *desc_b);
-}
-
-class CrossTokenJaccard final : public CrossStoreMatcher {
- public:
-  explicit CrossTokenJaccard(const TokenJaccardMatcher& twin)
-      : twin_(twin), counters_(PreparedCounters::Ambient()) {}
-
-  double Similarity(const SignatureStore& sa, model::EntityId a,
-                    const SignatureStore& sb,
-                    model::EntityId b) const override {
-    if (!sa.contains(a) || !sb.contains(b)) {
-      return CrossStringFallback(twin_, counters_, sa, a, sb, b);
-    }
-    Bump(counters_.comparisons);
-    const PostingView ta = sa.posting(a);
-    const PostingView tb = sb.posting(b);
-    size_t inter = PostingIntersectSize(ta, tb);
-    size_t union_size = size_t{ta.size} + tb.size - inter;
-    if (union_size == 0) return 1.0;
-    return static_cast<double>(inter) / static_cast<double>(union_size);
-  }
-
-  bool Matches(const SignatureStore& sa, model::EntityId a,
-               const SignatureStore& sb, model::EntityId b,
-               double threshold) const override {
-    if (!sa.contains(a) || !sb.contains(b)) {
-      return CrossStringFallback(twin_, counters_, sa, a, sb, b) >= threshold;
-    }
-    Bump(counters_.comparisons);
-    const PostingView ta = sa.posting(a);
-    const PostingView tb = sb.posting(b);
-    if (ta.empty() && tb.empty()) return 1.0 >= threshold;
-    size_t required = RequiredOverlapJaccard(ta.size, tb.size, threshold);
-    if (required > std::min<size_t>(ta.size, tb.size)) {
-      Bump(counters_.filter_hits);
-      return false;
-    }
-    if (required == 0) {
-      Bump(counters_.filter_hits);
-      return true;
-    }
-    return PostingIntersectAtLeast(ta, tb, required);
-  }
-
-  std::string name() const override { return "Cross(TokenJaccard)"; }
-
- private:
-  const TokenJaccardMatcher& twin_;
-  PreparedCounters counters_;
-};
-
-class CrossTokenOverlap final : public CrossStoreMatcher {
- public:
-  explicit CrossTokenOverlap(const TokenOverlapMatcher& twin)
-      : twin_(twin), counters_(PreparedCounters::Ambient()) {}
-
-  double Similarity(const SignatureStore& sa, model::EntityId a,
-                    const SignatureStore& sb,
-                    model::EntityId b) const override {
-    if (!sa.contains(a) || !sb.contains(b)) {
-      return CrossStringFallback(twin_, counters_, sa, a, sb, b);
-    }
-    Bump(counters_.comparisons);
-    const PostingView ta = sa.posting(a);
-    const PostingView tb = sb.posting(b);
-    size_t smaller = std::min<size_t>(ta.size, tb.size);
-    if (smaller == 0) return ta.size == tb.size ? 1.0 : 0.0;
-    size_t inter = PostingIntersectSize(ta, tb);
-    return static_cast<double>(inter) / static_cast<double>(smaller);
-  }
-
-  bool Matches(const SignatureStore& sa, model::EntityId a,
-               const SignatureStore& sb, model::EntityId b,
-               double threshold) const override {
-    if (!sa.contains(a) || !sb.contains(b)) {
-      return CrossStringFallback(twin_, counters_, sa, a, sb, b) >= threshold;
-    }
-    Bump(counters_.comparisons);
-    const PostingView ta = sa.posting(a);
-    const PostingView tb = sb.posting(b);
-    size_t smaller = std::min<size_t>(ta.size, tb.size);
-    if (smaller == 0) {
-      return (ta.size == tb.size ? 1.0 : 0.0) >= threshold;
-    }
-    size_t required = RequiredOverlapCoefficient(smaller, threshold);
-    if (required > smaller) {
-      Bump(counters_.filter_hits);
-      return false;
-    }
-    if (required == 0) {
-      Bump(counters_.filter_hits);
-      return true;
-    }
-    return PostingIntersectAtLeast(ta, tb, required);
-  }
-
-  std::string name() const override { return "Cross(TokenOverlap)"; }
-
- private:
-  const TokenOverlapMatcher& twin_;
-  PreparedCounters counters_;
-};
-
-class CrossTfIdfCosine final : public CrossStoreMatcher {
- public:
-  explicit CrossTfIdfCosine(const TfIdfCosineMatcher& twin)
-      : twin_(twin), counters_(PreparedCounters::Ambient()) {}
-
-  // No Matches override, for the same reason as PreparedTfIdfCosine.
-  double Similarity(const SignatureStore& sa, model::EntityId a,
-                    const SignatureStore& sb,
-                    model::EntityId b) const override {
-    if (!sa.has_tfidf(a) || !sb.has_tfidf(b)) {
-      return CrossStringFallback(twin_, counters_, sa, a, sb, b);
-    }
-    Bump(counters_.comparisons);
-    return SparseDot(sa.tfidf(a), sb.tfidf(b));
-  }
-
-  std::string name() const override { return "Cross(TfIdfCosine)"; }
-
- private:
-  const TfIdfCosineMatcher& twin_;
-  PreparedCounters counters_;
-};
-
-class CrossWeightedAttribute final : public CrossStoreMatcher {
- public:
-  CrossWeightedAttribute(const WeightedAttributeMatcher& twin,
-                         std::vector<size_t> rule_slots)
-      : twin_(twin),
-        rule_slots_(std::move(rule_slots)),
-        counters_(PreparedCounters::Ambient()) {}
-
-  double Similarity(const SignatureStore& sa, model::EntityId a,
-                    const SignatureStore& sb,
-                    model::EntityId b) const override {
-    if (!sa.has_attributes(a) || !sb.has_attributes(b)) {
-      return CrossStringFallback(twin_, counters_, sa, a, sb, b);
-    }
-    Bump(counters_.comparisons);
-    auto slots_a = sa.attribute_slots(a);
-    auto slots_b = sb.attribute_slots(b);
-    double total_weight = 0.0;
-    double score = 0.0;
-    const std::vector<AttributeRule>& rules = twin_.rules();
-    for (size_t k = 0; k < rules.size(); ++k) {
-      const AttributeRule& rule = rules[k];
-      total_weight += rule.weight;
-      const SignatureStore::AttributeSlot& slot_a = slots_a[rule_slots_[k]];
-      const SignatureStore::AttributeSlot& slot_b = slots_b[rule_slots_[k]];
-      if (slot_a.value_index == SignatureStore::kNoValue ||
-          slot_b.value_index == SignatureStore::kNoValue) {
-        continue;
-      }
-      double sim;
-      if (rule.use_jaro_winkler) {
-        sim = text::JaroWinklerSimilarity(sa.value(slot_a.value_index),
-                                          sb.value(slot_b.value_index));
-      } else {
-        auto ta = sa.slot_tokens(slot_a);
-        auto tb = sb.slot_tokens(slot_b);
-        size_t inter = util::SortedIntersectSize(ta, tb);
-        size_t union_size = ta.size() + tb.size() - inter;
-        sim = union_size == 0 ? 1.0
-                              : static_cast<double>(inter) /
-                                    static_cast<double>(union_size);
-      }
-      score += rule.weight * sim;
-    }
-    if (total_weight <= 0.0) return 0.0;
-    return score / total_weight;
-  }
-
-  std::string name() const override { return "Cross(WeightedAttribute)"; }
-
- private:
-  const WeightedAttributeMatcher& twin_;
-  std::vector<size_t> rule_slots_;  // rules()[k] -> attribute slot index.
-  PreparedCounters counters_;
-};
-
-/// Composite component the engine cannot cross-prepare: always the string
-/// path, mirroring PreparedStringBridge.
-class CrossStringBridge final : public CrossStoreMatcher {
- public:
-  explicit CrossStringBridge(const Matcher& twin)
-      : twin_(twin), counters_(PreparedCounters::Ambient()) {}
-
-  double Similarity(const SignatureStore& sa, model::EntityId a,
-                    const SignatureStore& sb,
-                    model::EntityId b) const override {
-    return CrossStringFallback(twin_, counters_, sa, a, sb, b);
-  }
-
-  std::string name() const override {
-    return "CrossBridge(" + twin_.name() + ")";
-  }
-
- private:
-  const Matcher& twin_;
-  PreparedCounters counters_;
-};
-
-class CrossComposite final : public CrossStoreMatcher {
- public:
-  CrossComposite(const CompositeMatcher& twin,
-                 std::vector<std::unique_ptr<CrossStoreMatcher>> components)
-      : twin_(twin), components_(std::move(components)) {}
-
-  double Similarity(const SignatureStore& sa, model::EntityId a,
-                    const SignatureStore& sb,
-                    model::EntityId b) const override {
-    if (components_.empty()) return 0.0;
-    switch (twin_.combine()) {
-      case CompositeMatcher::Combine::kWeightedAverage: {
-        const std::vector<double>& weights = twin_.weights();
-        double total_weight = 0.0;
-        double score = 0.0;
-        for (size_t i = 0; i < components_.size(); ++i) {
-          double weight = i < weights.size() ? weights[i] : 1.0;
-          total_weight += weight;
-          score += weight * components_[i]->Similarity(sa, a, sb, b);
-        }
-        return total_weight > 0.0 ? score / total_weight : 0.0;
-      }
-      case CompositeMatcher::Combine::kMax: {
-        double best = 0.0;
-        for (const auto& component : components_) {
-          best = std::max(best, component->Similarity(sa, a, sb, b));
-        }
-        return best;
-      }
-      case CompositeMatcher::Combine::kMin: {
-        double worst = 1.0;
-        for (const auto& component : components_) {
-          worst = std::min(worst, component->Similarity(sa, a, sb, b));
-        }
-        return worst;
-      }
-    }
-    return 0.0;
-  }
-
-  bool Matches(const SignatureStore& sa, model::EntityId a,
-               const SignatureStore& sb, model::EntityId b,
-               double threshold) const override {
-    if (components_.empty()) return 0.0 >= threshold;
-    switch (twin_.combine()) {
-      case CompositeMatcher::Combine::kMax:
-        for (const auto& component : components_) {
-          if (component->Matches(sa, a, sb, b, threshold)) return true;
-        }
-        return 0.0 >= threshold;
-      case CompositeMatcher::Combine::kMin:
-        for (const auto& component : components_) {
-          if (!component->Matches(sa, a, sb, b, threshold)) return false;
-        }
-        return 1.0 >= threshold;
-      case CompositeMatcher::Combine::kWeightedAverage:
-        break;  // No per-component shortcut is sound for an average.
-    }
-    return Similarity(sa, a, sb, b) >= threshold;
-  }
-
-  std::string name() const override { return "Cross(Composite)"; }
-
- private:
-  const CompositeMatcher& twin_;
-  std::vector<std::unique_ptr<CrossStoreMatcher>> components_;
-};
 
 }  // namespace
 
-std::unique_ptr<CrossStoreMatcher> PrepareCross(
-    const Matcher& matcher, const SignatureOptions& options) {
-  if (const auto* jaccard =
-          dynamic_cast<const TokenJaccardMatcher*>(&matcher)) {
-    return std::make_unique<CrossTokenJaccard>(*jaccard);
-  }
-  if (const auto* overlap =
-          dynamic_cast<const TokenOverlapMatcher*>(&matcher)) {
-    return std::make_unique<CrossTokenOverlap>(*overlap);
-  }
-  if (const auto* tfidf = dynamic_cast<const TfIdfCosineMatcher*>(&matcher)) {
-    // Vectors from a different model would not be bit-equal.
-    if (options.tfidf_model != &tfidf->model()) return nullptr;
-    return std::make_unique<CrossTfIdfCosine>(*tfidf);
-  }
-  if (const auto* weighted =
-          dynamic_cast<const WeightedAttributeMatcher*>(&matcher)) {
-    std::vector<size_t> rule_slots;
-    rule_slots.reserve(weighted->rules().size());
-    for (const AttributeRule& rule : weighted->rules()) {
-      auto it = std::find(options.attributes.begin(), options.attributes.end(),
-                          rule.attribute);
-      if (it == options.attributes.end()) return nullptr;
-      rule_slots.push_back(
-          static_cast<size_t>(it - options.attributes.begin()));
-    }
-    return std::make_unique<CrossWeightedAttribute>(*weighted,
-                                                    std::move(rule_slots));
-  }
-  if (const auto* composite = dynamic_cast<const CompositeMatcher*>(&matcher)) {
-    std::vector<std::unique_ptr<CrossStoreMatcher>> components;
-    components.reserve(composite->components().size());
-    for (const Matcher* component : composite->components()) {
-      std::unique_ptr<CrossStoreMatcher> cross =
-          PrepareCross(*component, options);
-      if (cross == nullptr) {
-        cross = std::make_unique<CrossStringBridge>(*component);
-      }
-      components.push_back(std::move(cross));
-    }
-    return std::make_unique<CrossComposite>(*composite,
-                                            std::move(components));
-  }
-  // OracleMatcher: its canonical-id table is bound to one collection and
-  // cannot be partitioned; unknown matcher types stay on the string path.
-  return nullptr;
+std::unique_ptr<PreparedMatcher> Prepare(const Matcher& matcher,
+                                         const SignatureStore& store) {
+  return PrepareFor(matcher, store.options(), &store);
+}
+
+std::unique_ptr<PreparedMatcher> PrepareCross(const Matcher& matcher,
+                                              const SignatureOptions& options) {
+  return PrepareFor(matcher, options, nullptr);
 }
 
 }  // namespace weber::matching

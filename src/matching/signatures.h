@@ -15,6 +15,7 @@
 #include "text/normalizer.h"
 #include "text/tfidf.h"
 #include "util/arena_vec.h"
+#include "util/check.h"
 
 namespace weber::obs {
 class Counter;
@@ -186,9 +187,6 @@ class SignatureStore {
     return {tokens_.data() + slot.token_offset, slot.token_count};
   }
 
-  /// Index of `attribute` in options().attributes, or npos.
-  size_t AttributeIndex(std::string_view attribute) const;
-
   const SignatureOptions& options() const { return options_; }
   size_t size() const { return entries_.size(); }
   size_t vocabulary_size() const {
@@ -279,25 +277,58 @@ class SignatureStore {
 };
 
 /// A pairwise similarity over interned signatures: the prepared twin of a
-/// Matcher. Similarity(a, b) is bit-equal to the twin's string-path
-/// Similarity on the descriptions behind a and b; Matches(a, b, t) is the
-/// same verdict as Similarity(a, b) >= t but may prove it cheaper (length
-/// and required-overlap filters). Ids without a signature fall back to the
-/// string twin via the store's description provider.
+/// Matcher, and the one scoring engine of every consumer. Each side of a
+/// pair is a (store, id); the two stores may be one and the same or
+/// different ones (the sharded resolver keeps one SignatureStore per entity
+/// shard) — PostingView and the TF-IDF/attribute spans are self-contained,
+/// so the arithmetic is the same either way. Similarity(sa, a, sb, b) is
+/// bit-equal to the twin's string-path Similarity on the descriptions
+/// behind a and b; Matches(...) is the same verdict as Similarity(...) >= t
+/// but may prove it cheaper (length and required-overlap filters). Ids
+/// without a signature fall back to the string twin via each side's
+/// description provider.
+///
+/// Prepare() binds the matcher to one store, which the one-store forms
+/// Similarity(a, b) and Matches(a, b, t) pass as both sides (one virtual
+/// call per pair either way). A PrepareCross() matcher is unbound: only
+/// the two-sided forms apply, and a one-store call fails a WEBER_DCHECK.
 class PreparedMatcher {
  public:
   virtual ~PreparedMatcher() = default;
 
-  virtual double Similarity(model::EntityId a, model::EntityId b) const = 0;
+  virtual double Similarity(const SignatureStore& sa, model::EntityId a,
+                            const SignatureStore& sb,
+                            model::EntityId b) const = 0;
 
   /// Decision with early-exit; identical verdict to
-  /// Similarity(a, b) >= threshold for every input.
-  virtual bool Matches(model::EntityId a, model::EntityId b,
+  /// Similarity(sa, a, sb, b) >= threshold for every input.
+  virtual bool Matches(const SignatureStore& sa, model::EntityId a,
+                       const SignatureStore& sb, model::EntityId b,
                        double threshold) const {
-    return Similarity(a, b) >= threshold;
+    return Similarity(sa, a, sb, b) >= threshold;
   }
 
   virtual std::string name() const = 0;
+
+  double Similarity(model::EntityId a, model::EntityId b) const {
+    return Similarity(Bound(), a, Bound(), b);
+  }
+  bool Matches(model::EntityId a, model::EntityId b, double threshold) const {
+    return Matches(Bound(), a, Bound(), b, threshold);
+  }
+
+ protected:
+  /// `bound` is the store of the one-store forms; null when unbound.
+  explicit PreparedMatcher(const SignatureStore* bound) : bound_(bound) {}
+
+ private:
+  const SignatureStore& Bound() const {
+    WEBER_DCHECK(bound_ != nullptr)
+        << name() << ": one-store call on an unbound (PrepareCross) matcher";
+    return *bound_;
+  }
+
+  const SignatureStore* bound_;
 };
 
 /// Instrumentation handles shared by the prepared matchers; bound to the
@@ -322,46 +353,22 @@ SignatureOptions OptionsFor(const Matcher& matcher);
 /// matcher types the engine does not know.
 bool Preparable(const Matcher& matcher);
 
-/// Builds the prepared twin of `matcher` over `store`, or null when the
-/// matcher type is unknown or the store lacks what it needs (the caller
+/// Builds the prepared twin of `matcher` bound to `store`, or null when
+/// the matcher type is unknown or the store lacks what it needs (the caller
 /// then stays on the string path). Composite components that cannot be
 /// prepared individually are wrapped to score via the string path.
 std::unique_ptr<PreparedMatcher> Prepare(const Matcher& matcher,
                                          const SignatureStore& store);
 
-/// A prepared similarity over signatures that live in *different* stores
-/// (the sharded resolver keeps one SignatureStore per entity shard).
-/// PostingView and the TF-IDF/attribute spans are self-contained, so the
-/// arithmetic is the same as the single-store PreparedMatcher twins —
-/// Similarity and Matches are bit-equal to the string path for the same
-/// inputs. Both stores must be built with the SignatureOptions the
-/// matcher was cross-prepared against and share one logical vocabulary.
-class CrossStoreMatcher {
- public:
-  virtual ~CrossStoreMatcher() = default;
-
-  virtual double Similarity(const SignatureStore& sa, model::EntityId a,
-                            const SignatureStore& sb,
-                            model::EntityId b) const = 0;
-
-  /// Same verdict as Similarity(...) >= threshold, possibly cheaper.
-  virtual bool Matches(const SignatureStore& sa, model::EntityId a,
-                       const SignatureStore& sb, model::EntityId b,
-                       double threshold) const {
-    return Similarity(sa, a, sb, b) >= threshold;
-  }
-
-  virtual std::string name() const = 0;
-};
-
-/// Builds the cross-store twin of `matcher` for stores configured with
-/// `options` (normally OptionsFor(matcher)), or null when the matcher
-/// cannot score across stores (unknown types; OracleMatcher, whose
-/// canonical-id table is bound to one collection; TfIdfCosine against a
-/// different model). Composite components that cannot be cross-prepared
-/// are bridged through the string path, mirroring Prepare().
-std::unique_ptr<CrossStoreMatcher> PrepareCross(
-    const Matcher& matcher, const SignatureOptions& options);
+/// Builds the same prepared twin as Prepare(), unbound, for scoring pairs
+/// whose sides live in different stores configured with `options`
+/// (normally OptionsFor(matcher)); every store must share one logical
+/// vocabulary. Null when Prepare() would be null for such a store, and
+/// always for OracleMatcher, whose canonical-id table is bound to one
+/// collection — so PrepareCross never yields an oracle, and an oracle
+/// inside a composite is bridged through the string path.
+std::unique_ptr<PreparedMatcher> PrepareCross(const Matcher& matcher,
+                                              const SignatureOptions& options);
 
 }  // namespace weber::matching
 

@@ -331,8 +331,9 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   }
   candidates_ += candidates.size();
 
-  // Phase F — parallel scoring on immutable state (cross-store prepared
-  // twin, bit-equal to the string path), phase G — ordered serial commit.
+  // Phase F — parallel scoring on immutable state (the prepared twin over
+  // both sides' shard stores, bit-equal to the string path), phase G —
+  // ordered serial commit.
   uint64_t comparisons_before = comparisons_;
   uint64_t merges_before = merges_;
   if (!candidates.empty()) {

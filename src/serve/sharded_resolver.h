@@ -46,9 +46,10 @@ struct ShardedResolverOptions {
   /// online purging cap) — shared with the batch TokenBlocking builder.
   blocking::TokenBlockingOptions index;
 
-  /// Score candidates over interned signatures via the cross-store
-  /// prepared twin of the configured matcher (bit-equal to the string
-  /// path). Matchers without a cross twin fall back to string scoring.
+  /// Score candidates over interned signatures via the configured
+  /// matcher's prepared twin, unbound so each side reads its own shard's
+  /// store (bit-equal to the string path). Matchers PrepareCross cannot
+  /// prepare (unknown types, the oracle) fall back to string scoring.
   bool prepared_matching = true;
 
   /// When non-empty, every mutation is write-ahead logged into per-shard
@@ -209,7 +210,7 @@ class ShardedResolver {
   matching::ThresholdMatcher matcher_;
   ShardedResolverOptions options_;
   matching::SignatureOptions signature_options_;
-  std::unique_ptr<matching::CrossStoreMatcher> cross_;
+  std::unique_ptr<matching::PreparedMatcher> cross_;
 
   // Deque: Shard is pinned (WAL fd) and pointers into it are captured by
   // the signature stores' description providers.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "blocking/attribute_clustering.h"
 #include "blocking/block.h"
@@ -667,6 +668,12 @@ struct NamedBlocker {
   std::string label;
   std::shared_ptr<const Blocker> blocker;
 };
+
+// Without a printer gtest dumps the case's raw bytes, heap addresses
+// included, into the discovered test name.
+void PrintTo(const NamedBlocker& param, std::ostream* os) {
+  *os << param.blocker->name();
+}
 
 class BlockerProperty : public ::testing::TestWithParam<NamedBlocker> {};
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <ostream>
 #include <string>
 
 #include "blocking/token_blocking.h"
@@ -229,6 +230,15 @@ struct ParallelComboCase {
   bool reciprocal;
   size_t workers;
 };
+
+// Without a printer gtest dumps the case's raw bytes, padding included,
+// into the discovered test name.
+void PrintTo(const ParallelComboCase& param, std::ostream* os) {
+  *os << metablocking::ToString(param.weights) << "+"
+      << metablocking::ToString(param.pruning)
+      << (param.reciprocal ? " reciprocal" : "")
+      << " workers=" << param.workers;
+}
 
 class ParallelMetaBlockingCombos
     : public ::testing::TestWithParam<ParallelComboCase> {};

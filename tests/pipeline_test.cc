@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "blocking/token_blocking.h"
 #include "core/pipeline.h"
@@ -323,6 +324,33 @@ TEST(PipelineObsTest, RunReportsSpansAndCounters) {
   // run (the parallel hot paths dispatched real tasks for this corpus).
   EXPECT_GT(snap.counters.at("weber.executor.tasks_run"), 0u);
   EXPECT_GE(snap.gauges.at("weber.executor.workers"), 1.0);
+}
+
+TEST(PipelineObsTest, StreamingRunsReportEvaluationSpan) {
+  // The single-store and sharded resolve-on-ingest paths time block
+  // evaluation apart from blocking, like the batch path.
+  datagen::Corpus corpus = MediumCorpus();
+  matching::TokenJaccardMatcher matcher;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::MetricsRegistry registry;
+    PipelineConfig config;
+    config.matcher = &matcher;
+    config.match_threshold = 0.5;
+    config.metrics = &registry;
+    config.incremental = IncrementalMode{};
+    config.incremental->shards = shards;
+    RunPipeline(corpus.collection, corpus.truth, config);
+
+    obs::RegistrySnapshot snap = registry.TakeSnapshot();
+    ASSERT_EQ(snap.trace.size(), 1u);
+    for (const char* phase : {"ingest", "blocking", "evaluation",
+                              "clustering"}) {
+      const obs::SpanSnapshot* span = FindChild(snap.trace[0], phase);
+      ASSERT_NE(span, nullptr) << phase;
+      EXPECT_FALSE(span->open) << phase;
+    }
+  }
 }
 
 TEST(PipelineObsTest, AmbientRegistryCollectsMapReduceAndPipeline) {
