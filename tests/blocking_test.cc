@@ -4,9 +4,12 @@
 #include <cmath>
 #include <memory>
 #include <ostream>
+#include <thread>
+#include <vector>
 
 #include "blocking/attribute_clustering.h"
 #include "blocking/block.h"
+#include "blocking/block_purging.h"
 #include "blocking/canopy_clustering.h"
 #include "blocking/frequent_tokens.h"
 #include "blocking/lsh_blocking.h"
@@ -81,6 +84,85 @@ TEST(BlockCollectionTest, EntityToBlocksIndex) {
   ASSERT_EQ(index.size(), c.size());
   EXPECT_EQ(index[1], (std::vector<uint32_t>{0, 1}));
   EXPECT_TRUE(index[5].empty());
+}
+
+// Rebuilds `blocks` from scratch, block by block, and checks that every
+// derived view of the original (candidate pairs, blocking quality) equals
+// the fresh collection's: a mutator that left a stale derived state behind
+// shows up as a difference.
+void ExpectSameAsFresh(const BlockCollection& blocks,
+                       const model::GroundTruth& truth) {
+  BlockCollection fresh(blocks.collection());
+  for (const Block& block : blocks.blocks()) fresh.AddBlock(block);
+  ASSERT_EQ(fresh.NumBlocks(), blocks.NumBlocks());
+  EXPECT_EQ(blocks.CandidatePairs(), fresh.CandidatePairs());
+  EXPECT_EQ(blocks.CountDistinctPairs(), fresh.CountDistinctPairs());
+  eval::BlockingQuality got = eval::EvaluateBlocks(blocks, truth);
+  eval::BlockingQuality want = eval::EvaluateBlocks(fresh, truth);
+  EXPECT_EQ(got.comparisons, want.comparisons);
+  EXPECT_EQ(got.comparisons_with_redundancy,
+            want.comparisons_with_redundancy);
+  EXPECT_EQ(got.matches_covered, want.matches_covered);
+  EXPECT_EQ(got.total_matches, want.total_matches);
+}
+
+TEST(BlockCollectionTest, DerivedViewsFollowEveryMutation) {
+  model::GroundTruth truth;
+  model::EntityCollection c = TinyDirty(&truth);
+  BlockCollection blocks(&c);
+  blocks.AddBlock(Block{"k1", {0, 1}});
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(blocks, truth));
+
+  // AddBlock after the views were read.
+  blocks.AddBlock(Block{"k2", {1, 2, 3}});
+  blocks.AddBlock(Block{"k3", {2, 3, 4, 5}});
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(blocks, truth));
+  EXPECT_EQ(blocks.CountDistinctPairs(), 9u);
+
+  // Purging the largest block removes block ids the views knew about.
+  ASSERT_EQ(PurgeBlocksAbove(blocks, 3), 1u);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(blocks, truth));
+  EXPECT_EQ(blocks.CountDistinctPairs(), 4u);
+
+  // A copy taken after the views were read, then mutated on its own: the
+  // copy sees its new block and the original does not.
+  BlockCollection copy = blocks;
+  copy.AddBlock(Block{"k4", {0, 5}});
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(copy, truth));
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(blocks, truth));
+  EXPECT_EQ(copy.CountDistinctPairs(), 5u);
+  EXPECT_EQ(blocks.CountDistinctPairs(), 4u);
+
+  // Copy assignment over a collection whose views were read.
+  BlockCollection assigned(&c);
+  assigned.AddBlock(Block{"other", {4, 5}});
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(assigned, truth));
+  assigned = copy;
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(assigned, truth));
+  EXPECT_EQ(assigned.CandidatePairs(), copy.CandidatePairs());
+}
+
+TEST(BlockCollectionTest, ConcurrentReadersOfAFreshCollection) {
+  datagen::CorpusConfig config;
+  config.num_entities = 120;
+  config.seed = 29;
+  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
+  BlockCollection reference_blocks = TokenBlocking().Build(corpus.collection);
+  std::vector<model::IdPair> reference = reference_blocks.CandidatePairs();
+  ASSERT_FALSE(reference.empty());
+
+  // Four readers race on the first use of one collection's derived state.
+  BlockCollection blocks = TokenBlocking().Build(corpus.collection);
+  std::vector<std::vector<model::IdPair>> results(4);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < results.size(); ++t) {
+    readers.emplace_back(
+        [&blocks, &results, t] { results[t] = blocks.CandidatePairs(); });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const std::vector<model::IdPair>& result : results) {
+    EXPECT_EQ(result, reference);
+  }
 }
 
 TEST(BlockCollectionTest, LargestBlockAndSort) {
