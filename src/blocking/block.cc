@@ -23,6 +23,25 @@ uint64_t Block::NumComparisons(
   return from_first * (n - from_first);
 }
 
+BlockIndex::BlockIndex(const std::vector<Block>& blocks, size_t num_entities)
+    : offsets_(num_entities + 1, 0) {
+  // Counting sort by entity: count each entity's blocks, turn the counts
+  // into offsets, then scatter the block ids in block order, so each
+  // entity's list comes out ascending.
+  for (const Block& block : blocks) {
+    for (model::EntityId id : block.entities) {
+      WEBER_DCHECK_LT(id, num_entities) << "block entity outside the index";
+      ++offsets_[id + 1];
+    }
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  block_ids_.resize(offsets_.back());
+  std::vector<uint64_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (uint32_t b = 0; b < blocks.size(); ++b) {
+    for (model::EntityId id : blocks[b].entities) block_ids_[next[id]++] = b;
+  }
+}
+
 void BlockCollection::AddBlock(Block block) {
   ++keys_emitted_;
   std::sort(block.entities.begin(), block.entities.end());
@@ -31,26 +50,49 @@ void BlockCollection::AddBlock(Block block) {
       block.entities.end());
   if (block.entities.size() < 2) return;
   // Every id a blocker emits must resolve in the collection: an out-of-
-  // range id here would index out of bounds in EntityToBlocks and every
+  // range id here would index out of bounds in Index() and every
   // downstream consumer. entities is sorted, so checking back() covers all.
   if (collection_ != nullptr) {
     WEBER_CHECK_LT(block.entities.back(), collection_->size())
         << "block '" << block.key << "' names an entity outside the "
         << "collection";
   }
-  if (collection_ != nullptr && block.NumComparisons(*collection_) == 0) {
+  if (Cardinality(block) == 0) {
     return;  // e.g., clean-clean block with entities from one source only.
   }
   blocks_.push_back(std::move(block));
+  index_.Reset();
+}
+
+size_t BlockCollection::RemoveBlocksIf(
+    const std::function<bool(const Block&)>& drop) {
+  size_t removed = std::erase_if(blocks_, drop);
+  if (removed > 0) index_.Reset();
+  return removed;
+}
+
+std::vector<Block> BlockCollection::TakeBlocks() && {
+  std::vector<Block> taken = std::move(blocks_);
+  blocks_.clear();
+  index_.Reset();
+  return taken;
+}
+
+const BlockIndex& BlockCollection::Index() const {
+  return index_.GetOrBuild([this] {
+    size_t n = collection_ != nullptr ? collection_->size() : 0;
+    if (collection_ == nullptr) {
+      for (const Block& block : blocks_) {
+        n = std::max<size_t>(n, block.entities.back() + 1);
+      }
+    }
+    return std::make_shared<const BlockIndex>(blocks_, n);
+  });
 }
 
 uint64_t BlockCollection::TotalComparisonsWithRedundancy() const {
   uint64_t total = 0;
-  for (const Block& block : blocks_) {
-    total += collection_ != nullptr
-                 ? block.NumComparisons(*collection_)
-                 : block.size() * (block.size() - 1) / 2;
-  }
+  for (const Block& block : blocks_) total += Cardinality(block);
   return total;
 }
 
@@ -63,21 +105,13 @@ namespace {
 /// that first time is in the pair's least common block; stamp[u] == v
 /// marks u as already paired with v, which replaces a set of seen pairs.
 template <typename Visitor>
-void WalkDistinctPairs(const BlockCollection& blocks,
-                       const std::vector<std::vector<uint32_t>>& index,
-                       Visitor&& visit) {
+void WalkDistinctPairs(const BlockCollection& blocks, Visitor&& visit) {
   const model::EntityCollection* collection = blocks.collection();
+  const BlockIndex& index = blocks.Index();
   constexpr model::EntityId kUnstamped = ~model::EntityId{0};
-  if (WEBER_DCHECK_IS_ON()) {
-    // upper_bound needs ascending members; mutable_blocks could break that.
-    for (const Block& block : blocks.blocks()) {
-      WEBER_DCHECK_SORTED(block.entities.begin(), block.entities.end())
-          << "block '" << block.key << "' is unsorted";
-    }
-  }
-  std::vector<model::EntityId> stamp(index.size(), kUnstamped);
-  for (model::EntityId v = 0; v < index.size(); ++v) {
-    for (uint32_t b : index[v]) {
+  std::vector<model::EntityId> stamp(index.NumEntities(), kUnstamped);
+  for (model::EntityId v = 0; v < index.NumEntities(); ++v) {
+    for (uint32_t b : index.BlocksOf(v)) {
       const std::vector<model::EntityId>& members = blocks.blocks()[b].entities;
       for (auto it = std::upper_bound(members.begin(), members.end(), v);
            it != members.end(); ++it) {
@@ -97,16 +131,15 @@ std::vector<model::IdPair> BlockCollection::CandidatePairs() const {
   // Two walks: count the pairs whose least common block is b, then
   // scatter each to its block's next slot. The walk meets a block's pairs
   // in (low, high) order, so the result is ordered by (b, low, high).
-  std::vector<std::vector<uint32_t>> index = EntityToBlocks();
   std::vector<uint64_t> offset(blocks_.size() + 1, 0);
-  WalkDistinctPairs(*this, index,
+  WalkDistinctPairs(*this,
                     [&offset](model::EntityId, model::EntityId, uint32_t b) {
                       ++offset[b + 1];
                     });
   std::partial_sum(offset.begin(), offset.end(), offset.begin());
   std::vector<model::IdPair> pairs(offset.back());
   WalkDistinctPairs(
-      *this, index,
+      *this,
       [&offset, &pairs](model::EntityId v, model::EntityId u, uint32_t b) {
         pairs[offset[b]++] = model::IdPair{v, u};
       });
@@ -116,50 +149,8 @@ std::vector<model::IdPair> BlockCollection::CandidatePairs() const {
 uint64_t BlockCollection::CountDistinctPairs() const {
   uint64_t count = 0;
   WalkDistinctPairs(
-      *this, EntityToBlocks(),
-      [&count](model::EntityId, model::EntityId, uint32_t) { ++count; });
+      *this, [&count](model::EntityId, model::EntityId, uint32_t) { ++count; });
   return count;
-}
-
-std::vector<std::vector<uint32_t>> BlockCollection::EntityToBlocks() const {
-  size_t n = collection_ != nullptr ? collection_->size() : 0;
-  if (n == 0) {
-    for (const Block& block : blocks_) {
-      for (model::EntityId id : block.entities) {
-        n = std::max<size_t>(n, id + 1);
-      }
-    }
-  }
-  std::vector<std::vector<uint32_t>> index(n);
-  for (uint32_t b = 0; b < blocks_.size(); ++b) {
-    for (model::EntityId id : blocks_[b].entities) {
-      WEBER_DCHECK_LT(id, index.size()) << "block entity outside the index";
-      index[id].push_back(b);
-    }
-  }
-  return index;
-}
-
-int64_t BlockCollection::LargestBlock() const {
-  int64_t best = -1;
-  size_t best_size = 0;
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    if (blocks_[i].size() > best_size) {
-      best_size = blocks_[i].size();
-      best = static_cast<int64_t>(i);
-    }
-  }
-  return best;
-}
-
-void BlockCollection::SortBlocksBySize() {
-  std::sort(blocks_.begin(), blocks_.end(),
-            [](const Block& x, const Block& y) {
-              if (x.entities.size() != y.entities.size()) {
-                return x.entities.size() < y.entities.size();
-              }
-              return x.key < y.key;
-            });
 }
 
 BlockCollection Blocker::Build(

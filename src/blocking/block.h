@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "model/entity.h"
 #include "model/ground_truth.h"
+#include "util/check.h"
+#include "util/sync.h"
 
 namespace weber::blocking {
 
@@ -25,6 +29,32 @@ struct Block {
   uint64_t NumComparisons(const model::EntityCollection& collection) const;
 };
 
+/// The entity-to-block index of a block collection in compressed sparse
+/// row form: one offsets array and one array of block ids, so that the
+/// whole index costs two allocations whatever the entity count.
+class BlockIndex {
+ public:
+  /// Indexes `blocks` over entity ids [0, num_entities); every member of
+  /// every block must be below num_entities.
+  BlockIndex(const std::vector<Block>& blocks, size_t num_entities);
+
+  size_t NumEntities() const { return offsets_.size() - 1; }
+
+  /// The indices of the blocks holding `id`, ascending.
+  std::span<const uint32_t> BlocksOf(model::EntityId id) const {
+    WEBER_DCHECK_LT(id, NumEntities()) << "entity outside the block index";
+    return {block_ids_.data() + offsets_[id],
+            block_ids_.data() + offsets_[id + 1]};
+  }
+
+  /// Total block assignments: the sum of all block sizes.
+  uint64_t NumAssignments() const { return block_ids_.size(); }
+
+ private:
+  std::vector<uint64_t> offsets_;  // NumEntities() + 1 entries.
+  std::vector<uint32_t> block_ids_;
+};
+
 /// A blocking collection: the output of a blocking method over one entity
 /// collection. Keeps a non-owning pointer to the collection so that
 /// downstream consumers (meta-blocking, evaluation) can honour the ER
@@ -39,8 +69,14 @@ class BlockCollection {
   /// suggest no comparison under the collection's setting are dropped.
   void AddBlock(Block block);
 
+  /// Removes every block for which `drop(block)` is true, keeping the
+  /// order of the rest. Returns the number removed.
+  size_t RemoveBlocksIf(const std::function<bool(const Block&)>& drop);
+
+  /// Moves the blocks out, leaving the collection empty.
+  std::vector<Block> TakeBlocks() &&;
+
   const std::vector<Block>& blocks() const { return blocks_; }
-  std::vector<Block>& mutable_blocks() { return blocks_; }
   size_t NumBlocks() const { return blocks_.size(); }
   bool empty() const { return blocks_.empty(); }
 
@@ -49,6 +85,20 @@ class BlockCollection {
   uint64_t keys_emitted() const { return keys_emitted_; }
 
   const model::EntityCollection* collection() const { return collection_; }
+
+  /// Comparisons `block` suggests on its own: Block::NumComparisons under
+  /// the collection's setting, or all pairs when there is no collection.
+  uint64_t Cardinality(const Block& block) const {
+    return collection_ != nullptr ? block.NumComparisons(*collection_)
+                                  : block.size() * (block.size() - 1) / 2;
+  }
+
+  /// The entity-to-block index. It covers the collection's entities, or
+  /// ids up to the largest block member when there is no collection. Built
+  /// on first use and kept until a member that changes the blocks drops
+  /// it; copies share it. Safe to call from several threads at once, like
+  /// every const member.
+  const BlockIndex& Index() const;
 
   /// Aggregate comparisons over all blocks, counting a pair once per block
   /// it co-occurs in (i.e., including redundancy). This is the cost a
@@ -80,21 +130,53 @@ class BlockCollection {
     }
   }
 
-  /// Builds the inverted index from entity id to the (ascending) list of
-  /// block indices that contain it.
-  std::vector<std::vector<uint32_t>> EntityToBlocks() const;
-
-  /// Index of the largest block, or -1 if empty.
-  int64_t LargestBlock() const;
-
-  /// Sorts blocks by ascending cardinality (comparison count); useful
-  /// before purging and for progressive block processing.
-  void SortBlocksBySize();
-
  private:
+  // Index()'s cache. Copies share the immutable index; every member that
+  // changes blocks_ calls Reset().
+  class IndexCache {
+   public:
+    IndexCache() = default;
+    IndexCache(const IndexCache& other) : index_(other.Share()) {}
+    IndexCache(IndexCache&& other) noexcept : index_(other.Exchange({})) {}
+    IndexCache& operator=(const IndexCache& other) {
+      Exchange(other.Share());
+      return *this;
+    }
+    IndexCache& operator=(IndexCache&& other) noexcept {
+      Exchange(other.Exchange({}));
+      return *this;
+    }
+
+    void Reset() { Exchange({}); }
+
+    /// The cached index, built by `build` if there is none yet.
+    template <typename Build>
+    const BlockIndex& GetOrBuild(Build&& build) const {
+      util::MutexLock lock(mu_);
+      if (index_ == nullptr) index_ = build();
+      return *index_;
+    }
+
+   private:
+    std::shared_ptr<const BlockIndex> Share() const {
+      util::MutexLock lock(mu_);
+      return index_;
+    }
+    std::shared_ptr<const BlockIndex> Exchange(
+        std::shared_ptr<const BlockIndex> index) {
+      util::MutexLock lock(mu_);
+      index_.swap(index);
+      return index;
+    }
+
+    mutable util::Mutex mu_;
+    mutable std::shared_ptr<const BlockIndex> index_ WEBER_GUARDED_BY(mu_);
+  };
+
   std::vector<Block> blocks_;
   uint64_t keys_emitted_ = 0;
   const model::EntityCollection* collection_ = nullptr;
+  IndexCache index_;
 };
 
 /// Interface implemented by every blocking method.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 namespace weber::blocking {
@@ -31,11 +32,13 @@ BlockCollection FilterBlocks(const BlockCollection& blocks, double ratio) {
   }
 
   // For each entity keep its ceil(ratio * |blocks(e)|) smallest blocks.
-  std::vector<std::vector<uint32_t>> entity_blocks = blocks.EntityToBlocks();
+  const BlockIndex& index = blocks.Index();
   std::vector<std::vector<model::EntityId>> kept(blocks.NumBlocks());
-  for (model::EntityId id = 0; id < entity_blocks.size(); ++id) {
-    std::vector<uint32_t>& mine = entity_blocks[id];
-    if (mine.empty()) continue;
+  std::vector<uint32_t> mine;
+  for (model::EntityId id = 0; id < index.NumEntities(); ++id) {
+    std::span<const uint32_t> blocks_of = index.BlocksOf(id);
+    if (blocks_of.empty()) continue;
+    mine.assign(blocks_of.begin(), blocks_of.end());
     size_t keep = static_cast<size_t>(
         std::ceil(ratio * static_cast<double>(mine.size())));
     keep = std::max<size_t>(keep, 1);

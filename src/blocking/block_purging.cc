@@ -5,26 +5,10 @@
 
 namespace weber::blocking {
 
-namespace {
-
-uint64_t CardinalityOf(const BlockCollection& blocks, const Block& block) {
-  return blocks.collection() != nullptr
-             ? block.NumComparisons(*blocks.collection())
-             : block.size() * (block.size() - 1) / 2;
-}
-
-}  // namespace
-
 size_t PurgeBlocksAbove(BlockCollection& blocks, uint64_t max_comparisons) {
-  std::vector<Block>& all = blocks.mutable_blocks();
-  size_t before = all.size();
-  all.erase(std::remove_if(all.begin(), all.end(),
-                           [&blocks, max_comparisons](const Block& block) {
-                             return CardinalityOf(blocks, block) >
-                                    max_comparisons;
-                           }),
-            all.end());
-  return before - all.size();
+  return blocks.RemoveBlocksIf([&blocks, max_comparisons](const Block& block) {
+    return blocks.Cardinality(block) > max_comparisons;
+  });
 }
 
 uint64_t AutoPurgeBlocks(BlockCollection& blocks, double efficiency_ratio) {
@@ -39,7 +23,7 @@ uint64_t AutoPurgeBlocks(BlockCollection& blocks, double efficiency_ratio) {
   std::vector<std::pair<uint64_t, const Block*>> by_cardinality;
   by_cardinality.reserve(blocks.NumBlocks());
   for (const Block& block : blocks.blocks()) {
-    by_cardinality.emplace_back(CardinalityOf(blocks, block), &block);
+    by_cardinality.emplace_back(blocks.Cardinality(block), &block);
   }
   std::sort(by_cardinality.begin(), by_cardinality.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });

@@ -68,9 +68,10 @@ BlockCollection MultiPassSortedNeighborhood::BuildBlocks(
     const model::EntityCollection& collection) const {
   BlockCollection result(&collection);
   for (size_t pass = 0; pass < passes_.size(); ++pass) {
-    BlockCollection single =
-        SortedNeighborhood(window_, passes_[pass]).Build(collection);
-    for (Block& block : single.mutable_blocks()) {
+    std::vector<Block> single =
+        SortedNeighborhood(window_, passes_[pass]).Build(collection)
+            .TakeBlocks();
+    for (Block& block : single) {
       block.key = "p" + std::to_string(pass) + block.key;
       result.AddBlock(std::move(block));
     }

@@ -28,11 +28,8 @@ BlockStats ComputeBlockStats(const blocking::BlockCollection& blocks) {
   for (const blocking::Block& block : blocks.blocks()) {
     sizes.push_back(block.size());
     stats.total_assignments += block.size();
-    uint64_t comparisons =
-        blocks.collection() != nullptr
-            ? block.NumComparisons(*blocks.collection())
-            : block.size() * (block.size() - 1) / 2;
-    largest_comparisons = std::max(largest_comparisons, comparisons);
+    largest_comparisons =
+        std::max(largest_comparisons, blocks.Cardinality(block));
   }
   std::sort(sizes.begin(), sizes.end());
   stats.min_size = sizes.front();

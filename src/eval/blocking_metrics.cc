@@ -2,27 +2,9 @@
 
 #include <algorithm>
 
+#include "util/intersect.h"
+
 namespace weber::eval {
-
-namespace {
-
-/// True if the two ascending block lists share a block.
-bool ShareBlock(const std::vector<uint32_t>& a,
-                const std::vector<uint32_t>& b) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 double BlockingQuality::PairCompleteness() const {
   if (total_matches == 0) return 1.0;
@@ -64,13 +46,14 @@ BlockingQuality EvaluateBlocks(const blocking::BlockCollection& blocks,
   // Covered matches from the truth side: a closure pair is a candidate
   // exactly when it is comparable and its two entities share a block.
   const model::EntityCollection* collection = blocks.collection();
-  std::vector<std::vector<uint32_t>> index = blocks.EntityToBlocks();
+  const blocking::BlockIndex& index = blocks.Index();
   for (const model::IdPair& pair : truth.AllMatches()) {
-    if (pair.high >= index.size()) continue;
+    if (pair.high >= index.NumEntities()) continue;
     if (collection != nullptr && !collection->Comparable(pair.low, pair.high)) {
       continue;
     }
-    if (ShareBlock(index[pair.low], index[pair.high])) {
+    if (util::SortedIntersectAtLeast(index.BlocksOf(pair.low),
+                                     index.BlocksOf(pair.high), 1)) {
       ++quality.matches_covered;
     }
   }

@@ -1,9 +1,8 @@
 #include "mapreduce/parallel_meta_blocking.h"
 
 #include <algorithm>
-#include <cmath>
-#include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "metablocking/blocking_graph.h"
 #include "util/timer.h"
@@ -15,74 +14,23 @@ namespace {
 using metablocking::PruningScheme;
 using metablocking::WeightScheme;
 
-struct NeighborStats {
-  uint32_t common_blocks = 0;
-  double arcs_sum = 0.0;
-};
-
 // Gathers, for node v, every comparable co-occurring neighbour with the
-// number of shared blocks and the ARCS partial sum.
-std::unordered_map<model::EntityId, NeighborStats> GatherNeighbors(
-    model::EntityId v, const blocking::BlockCollection& blocks,
-    const std::vector<std::vector<uint32_t>>& entity_blocks,
-    const std::vector<uint64_t>& cardinality) {
-  std::unordered_map<model::EntityId, NeighborStats> neighbors;
+// blocks the two share. v's blocks are visited ascending, so each
+// neighbour's shared blocks are added in ascending order.
+std::unordered_map<model::EntityId, metablocking::SharedBlocks>
+GatherNeighbors(model::EntityId v, const blocking::BlockCollection& blocks,
+                const blocking::BlockIndex& index,
+                const metablocking::EdgeWeigher& weigher) {
+  std::unordered_map<model::EntityId, metablocking::SharedBlocks> neighbors;
   const model::EntityCollection* collection = blocks.collection();
-  for (uint32_t b : entity_blocks[v]) {
-    double arcs = cardinality[b] > 0
-                      ? 1.0 / static_cast<double>(cardinality[b])
-                      : 0.0;
+  for (uint32_t b : index.BlocksOf(v)) {
     for (model::EntityId u : blocks.blocks()[b].entities) {
       if (u == v) continue;
       if (collection != nullptr && !collection->Comparable(u, v)) continue;
-      NeighborStats& stats = neighbors[u];
-      ++stats.common_blocks;
-      stats.arcs_sum += arcs;
+      weigher.AddShared(b, neighbors[u]);
     }
   }
   return neighbors;
-}
-
-double WeightOf(WeightScheme scheme, model::EntityId v, model::EntityId u,
-                const NeighborStats& stats,
-                const std::vector<std::vector<uint32_t>>& entity_blocks,
-                const std::vector<uint32_t>& degree, double num_blocks,
-                double num_nodes) {
-  switch (scheme) {
-    case WeightScheme::kCbs:
-      return stats.common_blocks;
-    case WeightScheme::kEcbs: {
-      double blocks_v = static_cast<double>(entity_blocks[v].size());
-      double blocks_u = static_cast<double>(entity_blocks[u].size());
-      return stats.common_blocks * std::log(num_blocks / blocks_v) *
-             std::log(num_blocks / blocks_u);
-    }
-    case WeightScheme::kJs: {
-      double union_size = static_cast<double>(entity_blocks[v].size() +
-                                              entity_blocks[u].size()) -
-                          stats.common_blocks;
-      return union_size > 0 ? stats.common_blocks / union_size : 0.0;
-    }
-    case WeightScheme::kEjs: {
-      double union_size = static_cast<double>(entity_blocks[v].size() +
-                                              entity_blocks[u].size()) -
-                          stats.common_blocks;
-      double js = union_size > 0 ? stats.common_blocks / union_size : 0.0;
-      double deg_v = std::max<uint32_t>(degree[v], 1);
-      double deg_u = std::max<uint32_t>(degree[u], 1);
-      return js * std::log(num_nodes / deg_v) * std::log(num_nodes / deg_u);
-    }
-    case WeightScheme::kArcs:
-      return stats.arcs_sum;
-  }
-  return 0.0;
-}
-
-bool HeavierOrEarlier(const metablocking::WeightedEdge& x,
-                      const metablocking::WeightedEdge& y) {
-  if (x.weight != y.weight) return x.weight > y.weight;
-  if (x.a != y.a) return x.a < y.a;
-  return x.b < y.b;
 }
 
 double BalanceSpeedup(const std::vector<double>& worker_cpu) {
@@ -104,59 +52,25 @@ std::vector<model::IdPair> ParallelMetaBlock(
   workers = std::max<size_t>(workers, 1);
   ParallelMetaBlockingStats local_stats;
 
-  // ---- Stage 1 (MapReduce): entity-to-blocks index. ----
-  std::vector<uint32_t> block_ids(blocks.NumBlocks());
-  for (uint32_t b = 0; b < blocks.NumBlocks(); ++b) block_ids[b] = b;
-  MapReduceJob<uint32_t, model::EntityId, uint32_t,
-               std::pair<model::EntityId, std::vector<uint32_t>>>
-      index_job(
-          [&blocks](const uint32_t& b, const auto& emit) {
-            for (model::EntityId id : blocks.blocks()[b].entities) {
-              emit(id, b);
-            }
-          },
-          [](const model::EntityId& id, std::vector<uint32_t>& ids,
-             auto& out) {
-            std::sort(ids.begin(), ids.end());
-            out.emplace_back(id, std::move(ids));
-          });
-  auto index_pairs = index_job.Run(block_ids, workers, &local_stats.index_job);
-
-  size_t num_nodes = blocks.collection() != nullptr
-                         ? blocks.collection()->size()
-                         : 0;
-  for (const auto& [id, list] : index_pairs) {
-    num_nodes = std::max<size_t>(num_nodes, id + 1);
-  }
-  std::vector<std::vector<uint32_t>> entity_blocks(num_nodes);
-  for (auto& [id, list] : index_pairs) {
-    entity_blocks[id] = std::move(list);
-  }
-
-  std::vector<uint64_t> cardinality(blocks.NumBlocks());
-  for (uint32_t b = 0; b < blocks.NumBlocks(); ++b) {
-    const blocking::Block& block = blocks.blocks()[b];
-    cardinality[b] = blocks.collection() != nullptr
-                         ? block.NumComparisons(*blocks.collection())
-                         : block.size() * (block.size() - 1) / 2;
-  }
+  const blocking::BlockIndex& index = blocks.Index();
+  size_t num_nodes = index.NumEntities();
 
   util::Timer timer;
 
-  // EJS needs global node degrees first (one parallel pass).
+  // EJS needs global node degrees first (one parallel pass). That pass
+  // only counts neighbours, so its weigher needs no degrees.
   std::vector<uint32_t> degree;
   if (weights == WeightScheme::kEjs) {
+    const metablocking::EdgeWeigher counter(weights, blocks, {});
     degree.assign(num_nodes, 0);
     ParallelFor(num_nodes, workers, [&](size_t v) {
       degree[v] = static_cast<uint32_t>(
-          GatherNeighbors(static_cast<model::EntityId>(v), blocks,
-                          entity_blocks, cardinality)
+          GatherNeighbors(static_cast<model::EntityId>(v), blocks, index,
+                          counter)
               .size());
     });
   }
-
-  double num_blocks = std::max<double>(blocks.NumBlocks(), 1.0);
-  double num_nodes_d = std::max<double>(num_nodes, 1.0);
+  const metablocking::EdgeWeigher weigher(weights, blocks, std::move(degree));
 
   std::vector<model::IdPair> result;
   if (pruning == PruningScheme::kWep || pruning == PruningScheme::kCep) {
@@ -169,13 +83,11 @@ std::vector<model::IdPair> ParallelMetaBlock(
         num_nodes, workers,
         [&](size_t v_index) {
           model::EntityId v = static_cast<model::EntityId>(v_index);
-          auto neighbors =
-              GatherNeighbors(v, blocks, entity_blocks, cardinality);
-          for (const auto& [u, ns] : neighbors) {
+          for (const auto& [u, shared] :
+               GatherNeighbors(v, blocks, index, weigher)) {
             if (u < v) continue;  // Materialise at the lower endpoint only.
-            double w = WeightOf(weights, v, u, ns, entity_blocks, degree,
-                                num_blocks, num_nodes_d);
-            per_node_edges[v_index].push_back({v, u, w});
+            per_node_edges[v_index].push_back(
+                {v, u, weigher.Weight(v, u, shared)});
           }
         },
         &worker_cpu);
@@ -195,12 +107,8 @@ std::vector<model::IdPair> ParallelMetaBlock(
         if (edge.weight >= mean) result.push_back(edge.pair());
       }
     } else {
-      uint64_t assignments = 0;
-      for (const blocking::Block& block : blocks.blocks()) {
-        assignments += block.size();
-      }
-      uint64_t budget = std::max<uint64_t>(assignments / 2, 1);
-      std::sort(edges.begin(), edges.end(), HeavierOrEarlier);
+      uint64_t budget = metablocking::CepBudget(blocks);
+      std::sort(edges.begin(), edges.end(), metablocking::HeavierFirst);
       if (edges.size() > budget) edges.resize(budget);
       for (const auto& edge : edges) result.push_back(edge.pair());
     }
@@ -208,14 +116,7 @@ std::vector<model::IdPair> ParallelMetaBlock(
   } else {
     // Node-parallel WNP / CNP: each node retains a subset of its incident
     // edges; union or intersection of the two endpoint votes afterwards.
-    uint64_t assignments = 0;
-    for (const blocking::Block& block : blocks.blocks()) {
-      assignments += block.size();
-    }
-    size_t k = static_cast<size_t>(std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::llround(
-               static_cast<double>(assignments) /
-               std::max<size_t>(num_nodes, 1)))));
+    size_t k = metablocking::CnpBudget(blocks);
 
     std::vector<std::vector<model::IdPair>> retained_of_node(num_nodes);
     std::vector<double> worker_cpu;
@@ -223,16 +124,14 @@ std::vector<model::IdPair> ParallelMetaBlock(
         num_nodes, workers,
         [&](size_t v_index) {
           model::EntityId v = static_cast<model::EntityId>(v_index);
-          auto neighbors =
-              GatherNeighbors(v, blocks, entity_blocks, cardinality);
+          auto neighbors = GatherNeighbors(v, blocks, index, weigher);
           if (neighbors.empty()) return;
           std::vector<metablocking::WeightedEdge> incident;
           incident.reserve(neighbors.size());
-          for (const auto& [u, ns] : neighbors) {
-            double w = WeightOf(weights, v, u, ns, entity_blocks, degree,
-                                num_blocks, num_nodes_d);
+          for (const auto& [u, shared] : neighbors) {
             model::IdPair pair = model::IdPair::Of(v, u);
-            incident.push_back({pair.low, pair.high, w});
+            incident.push_back(
+                {pair.low, pair.high, weigher.Weight(v, u, shared)});
           }
           std::vector<model::IdPair>& retained = retained_of_node[v_index];
           if (pruning == PruningScheme::kWnp) {
@@ -245,7 +144,7 @@ std::vector<model::IdPair> ParallelMetaBlock(
           } else {  // CNP.
             size_t keep = std::min(k, incident.size());
             std::partial_sort(incident.begin(), incident.begin() + keep,
-                              incident.end(), HeavierOrEarlier);
+                              incident.end(), metablocking::HeavierFirst);
             for (size_t i = 0; i < keep; ++i) {
               retained.push_back(incident[i].pair());
             }

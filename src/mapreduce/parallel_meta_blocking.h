@@ -10,8 +10,6 @@ namespace weber::mapreduce {
 
 /// Per-phase timings of a parallel meta-blocking run.
 struct ParallelMetaBlockingStats {
-  /// The MapReduce job that builds the entity-to-blocks index.
-  JobStats index_job;
   /// Parallel edge weighting + node-local pruning.
   double weighting_seconds = 0.0;
   /// Load-balance speedup of the weighting phase: sum over workers of
@@ -23,10 +21,12 @@ struct ParallelMetaBlockingStats {
 };
 
 /// Parallel meta-blocking (Efthymiou et al., Inf. Syst.'17), entity-based
-/// strategy: a MapReduce job builds the entity-to-blocks index; the
-/// weighting and node-centric pruning of each node then proceed in
-/// parallel, each node seeing only its own block list and those of its
-/// co-occurring neighbours. Produces exactly the pairs of the sequential
+/// strategy: over the collection's entity-to-blocks index
+/// (BlockCollection::Index()), the weighting and node-centric pruning of
+/// each node proceed in parallel, each node seeing only its own block list
+/// and those of its co-occurring neighbours. Edge weights, the
+/// heaviest-first order and the CEP/CNP budgets are the sequential
+/// metablocking ones, so it produces exactly the pairs of
 /// metablocking::MetaBlock for the same schemes.
 std::vector<model::IdPair> ParallelMetaBlock(
     const blocking::BlockCollection& blocks,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "core/executor.h"
 #include "util/check.h"
@@ -24,25 +26,63 @@ std::string ToString(WeightScheme scheme) {
   return "?";
 }
 
+EdgeWeigher::EdgeWeigher(WeightScheme scheme,
+                         const blocking::BlockCollection& blocks,
+                         std::vector<uint32_t> degree)
+    : scheme_(scheme),
+      index_(blocks.Index()),
+      degree_(std::move(degree)),
+      num_blocks_(std::max<double>(blocks.NumBlocks(), 1.0)),
+      num_nodes_(std::max<double>(index_.NumEntities(), 1.0)) {
+  inverse_cardinality_.reserve(blocks.NumBlocks());
+  for (const blocking::Block& block : blocks.blocks()) {
+    uint64_t cardinality = blocks.Cardinality(block);
+    inverse_cardinality_.push_back(
+        cardinality > 0 ? 1.0 / static_cast<double>(cardinality) : 0.0);
+  }
+}
+
+double EdgeWeigher::Weight(model::EntityId a, model::EntityId b,
+                           const SharedBlocks& shared) const {
+  // Every scheme is symmetric; one operand order keeps the floating-point
+  // products bit-equal whichever endpoint asks.
+  if (a > b) std::swap(a, b);
+  double blocks_a = static_cast<double>(index_.BlocksOf(a).size());
+  double blocks_b = static_cast<double>(index_.BlocksOf(b).size());
+  double union_size = blocks_a + blocks_b - shared.count;
+  double js = union_size > 0 ? shared.count / union_size : 0.0;
+  switch (scheme_) {
+    case WeightScheme::kCbs:
+      return shared.count;
+    case WeightScheme::kEcbs:
+      return shared.count * std::log(num_blocks_ / blocks_a) *
+             std::log(num_blocks_ / blocks_b);
+    case WeightScheme::kJs:
+      return js;
+    case WeightScheme::kEjs: {
+      WEBER_DCHECK_LT(b, degree_.size()) << "EJS weight without node degrees";
+      double deg_a = std::max<uint32_t>(degree_[a], 1);
+      double deg_b = std::max<uint32_t>(degree_[b], 1);
+      return js * std::log(num_nodes_ / deg_a) * std::log(num_nodes_ / deg_b);
+    }
+    case WeightScheme::kArcs:
+      return shared.arcs_sum;
+  }
+  return 0.0;
+}
+
 namespace {
 
-// Statistics of one pair's block lists gathered by a single merge scan.
-struct PairBlockStats {
-  uint32_t common_blocks = 0;
-  double arcs_sum = 0.0;
-};
-
-PairBlockStats ScanCommonBlocks(const std::vector<uint32_t>& list_a,
-                                const std::vector<uint32_t>& list_b,
-                                const std::vector<uint64_t>& cardinality) {
-  PairBlockStats stats;
+// The blocks two ascending block lists share, by one merge scan.
+SharedBlocks ScanSharedBlocks(std::span<const uint32_t> list_a,
+                              std::span<const uint32_t> list_b,
+                              const EdgeWeigher& weigher) {
+  SharedBlocks shared;
   size_t i = 0;
   size_t j = 0;
   while (i < list_a.size() && j < list_b.size()) {
     if (list_a[i] == list_b[j]) {
-      ++stats.common_blocks;
-      uint64_t card = cardinality[list_a[i]];
-      if (card > 0) stats.arcs_sum += 1.0 / static_cast<double>(card);
+      weigher.AddShared(list_a[i], shared);
       ++i;
       ++j;
     } else if (list_a[i] < list_b[j]) {
@@ -51,7 +91,7 @@ PairBlockStats ScanCommonBlocks(const std::vector<uint32_t>& list_a,
       ++j;
     }
   }
-  return stats;
+  return shared;
 }
 
 }  // namespace
@@ -60,25 +100,8 @@ BlockingGraph BlockingGraph::Build(const blocking::BlockCollection& blocks,
                                    WeightScheme scheme) {
   BlockingGraph graph;
   graph.scheme_ = scheme;
-
-  std::vector<std::vector<uint32_t>> entity_blocks = blocks.EntityToBlocks();
-  graph.num_nodes_ = entity_blocks.size();
-  if (WEBER_DCHECK_IS_ON()) {
-    // ScanCommonBlocks is a linear merge: it silently undercounts common
-    // blocks if any entity's block list is not ascending.
-    for (size_t i = 0; i < entity_blocks.size(); ++i) {
-      WEBER_DCHECK_SORTED(entity_blocks[i].begin(), entity_blocks[i].end())
-          << "entity " << i << " has an unsorted block list";
-    }
-  }
-
-  std::vector<uint64_t> cardinality(blocks.NumBlocks());
-  for (uint32_t b = 0; b < blocks.NumBlocks(); ++b) {
-    const blocking::Block& block = blocks.blocks()[b];
-    cardinality[b] = blocks.collection() != nullptr
-                         ? block.NumComparisons(*blocks.collection())
-                         : block.size() * (block.size() - 1) / 2;
-  }
+  const blocking::BlockIndex& index = blocks.Index();
+  graph.num_nodes_ = index.NumEntities();
 
   // First pass: the distinct pairs. Needed up front for EJS degrees.
   std::vector<model::IdPair> pairs = blocks.CandidatePairs();
@@ -91,9 +114,8 @@ BlockingGraph BlockingGraph::Build(const blocking::BlockCollection& blocks,
       ++degree[pair.high];
     }
   }
+  const EdgeWeigher weigher(scheme, blocks, std::move(degree));
 
-  double num_blocks = std::max<double>(blocks.NumBlocks(), 1.0);
-  double num_nodes = std::max<double>(graph.num_nodes_, 1.0);
   // Each edge's weight depends only on the two endpoints' (read-only)
   // block lists, so the pairs parallelize into fixed slots: the edge list
   // is bit-equal to the serial scan for any thread count.
@@ -102,48 +124,12 @@ BlockingGraph BlockingGraph::Build(const blocking::BlockCollection& blocks,
     const model::IdPair& pair = pairs[e];
     WEBER_DCHECK_LT(pair.low, pair.high)
         << "blocking graph edge is a self-loop or unnormalised pair";
-    WEBER_DCHECK_LT(pair.high, entity_blocks.size())
+    WEBER_DCHECK_LT(pair.high, index.NumEntities())
         << "edge endpoint outside the node range";
-    PairBlockStats stats = ScanCommonBlocks(
-        entity_blocks[pair.low], entity_blocks[pair.high], cardinality);
-    double weight = 0.0;
-    switch (scheme) {
-      case WeightScheme::kCbs:
-        weight = stats.common_blocks;
-        break;
-      case WeightScheme::kEcbs: {
-        double blocks_a = static_cast<double>(entity_blocks[pair.low].size());
-        double blocks_b =
-            static_cast<double>(entity_blocks[pair.high].size());
-        weight = stats.common_blocks * std::log(num_blocks / blocks_a) *
-                 std::log(num_blocks / blocks_b);
-        break;
-      }
-      case WeightScheme::kJs: {
-        double union_size =
-            static_cast<double>(entity_blocks[pair.low].size() +
-                                entity_blocks[pair.high].size()) -
-            stats.common_blocks;
-        weight = union_size > 0 ? stats.common_blocks / union_size : 0.0;
-        break;
-      }
-      case WeightScheme::kEjs: {
-        double union_size =
-            static_cast<double>(entity_blocks[pair.low].size() +
-                                entity_blocks[pair.high].size()) -
-            stats.common_blocks;
-        double js = union_size > 0 ? stats.common_blocks / union_size : 0.0;
-        double deg_a = std::max<uint32_t>(degree[pair.low], 1);
-        double deg_b = std::max<uint32_t>(degree[pair.high], 1);
-        weight =
-            js * std::log(num_nodes / deg_a) * std::log(num_nodes / deg_b);
-        break;
-      }
-      case WeightScheme::kArcs:
-        weight = stats.arcs_sum;
-        break;
-    }
-    graph.edges_[e] = {pair.low, pair.high, weight};
+    SharedBlocks shared = ScanSharedBlocks(
+        index.BlocksOf(pair.low), index.BlocksOf(pair.high), weigher);
+    graph.edges_[e] = {pair.low, pair.high,
+                       weigher.Weight(pair.low, pair.high, shared)};
   });
   return graph;
 }

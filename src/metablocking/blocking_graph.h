@@ -40,6 +40,52 @@ struct WeightedEdge {
   model::IdPair pair() const { return model::IdPair::Of(a, b); }
 };
 
+/// The heaviest-first edge order, ties broken by (a, b) ascending: the one
+/// order every pruning scheme ranks and returns edges in.
+inline bool HeavierFirst(const WeightedEdge& x, const WeightedEdge& y) {
+  if (x.weight != y.weight) return x.weight > y.weight;
+  if (x.a != y.a) return x.a < y.a;
+  return x.b < y.b;
+}
+
+/// The blocks one pair shares, as far as its edge weight needs them.
+struct SharedBlocks {
+  uint32_t count = 0;
+  /// Sum over the shared blocks of 1 / cardinality, added in ascending
+  /// block order.
+  double arcs_sum = 0.0;
+};
+
+/// The edge-weight rule of one scheme over one block collection. Both
+/// BlockingGraph::Build and the parallel meta-blocking in mapreduce/ weigh
+/// their edges through it, so the two weigh every pair alike.
+class EdgeWeigher {
+ public:
+  /// `degree` holds each node's degree in the blocking graph; only EJS
+  /// reads it. `blocks` must outlive the weigher, unchanged.
+  EdgeWeigher(WeightScheme scheme, const blocking::BlockCollection& blocks,
+              std::vector<uint32_t> degree);
+
+  /// Counts block `b` as one more block that a pair shares. Callers add
+  /// a pair's blocks in ascending order, so that ARCS sums are bit-equal.
+  void AddShared(uint32_t b, SharedBlocks& shared) const {
+    ++shared.count;
+    shared.arcs_sum += inverse_cardinality_[b];
+  }
+
+  /// The weight of the edge between `a` and `b`, which share `shared`.
+  double Weight(model::EntityId a, model::EntityId b,
+                const SharedBlocks& shared) const;
+
+ private:
+  WeightScheme scheme_;
+  const blocking::BlockIndex& index_;
+  std::vector<double> inverse_cardinality_;
+  std::vector<uint32_t> degree_;
+  double num_blocks_;
+  double num_nodes_;
+};
+
 /// The blocking graph of a block collection: one node per entity, one
 /// undirected edge per distinct co-occurring pair (redundant comparisons
 /// collapse into a single edge), weighted by the chosen scheme.

@@ -25,19 +25,8 @@ std::string ToString(PruningScheme scheme) {
 
 namespace {
 
-uint64_t TotalBlockAssignments(const blocking::BlockCollection& blocks) {
-  uint64_t total = 0;
-  for (const blocking::Block& block : blocks.blocks()) total += block.size();
-  return total;
-}
-
 std::vector<WeightedEdge> SortHeaviestFirst(std::vector<WeightedEdge> edges) {
-  std::sort(edges.begin(), edges.end(),
-            [](const WeightedEdge& x, const WeightedEdge& y) {
-              if (x.weight != y.weight) return x.weight > y.weight;
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
+  std::sort(edges.begin(), edges.end(), HeavierFirst);
   return edges;
 }
 
@@ -122,13 +111,7 @@ std::vector<WeightedEdge> PruneCnp(const BlockingGraph& graph,
         std::partial_sort(retained.begin(), retained.begin() + k,
                           retained.end(),
                           [&edges](uint32_t x, uint32_t y) {
-                            if (edges[x].weight != edges[y].weight) {
-                              return edges[x].weight > edges[y].weight;
-                            }
-                            if (edges[x].a != edges[y].a) {
-                              return edges[x].a < edges[y].a;
-                            }
-                            return edges[x].b < edges[y].b;
+                            return HeavierFirst(edges[x], edges[y]);
                           });
         retained.resize(k);
         return retained;
@@ -138,6 +121,18 @@ std::vector<WeightedEdge> PruneCnp(const BlockingGraph& graph,
 
 }  // namespace
 
+uint64_t CepBudget(const blocking::BlockCollection& blocks) {
+  return std::max<uint64_t>(blocks.Index().NumAssignments() / 2, 1);
+}
+
+size_t CnpBudget(const blocking::BlockCollection& blocks) {
+  const blocking::BlockIndex& index = blocks.Index();
+  size_t nodes = std::max<size_t>(index.NumEntities(), 1);
+  return static_cast<size_t>(std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::llround(
+             static_cast<double>(index.NumAssignments()) / nodes))));
+}
+
 std::vector<WeightedEdge> Prune(const BlockingGraph& graph,
                                 const blocking::BlockCollection& blocks,
                                 PruningScheme scheme,
@@ -145,21 +140,12 @@ std::vector<WeightedEdge> Prune(const BlockingGraph& graph,
   switch (scheme) {
     case PruningScheme::kWep:
       return PruneWep(graph);
-    case PruningScheme::kCep: {
-      uint64_t budget = TotalBlockAssignments(blocks) / 2;
-      budget = std::max<uint64_t>(budget, 1);
-      return PruneCep(graph, budget);
-    }
+    case PruningScheme::kCep:
+      return PruneCep(graph, CepBudget(blocks));
     case PruningScheme::kWnp:
       return PruneWnp(graph, options.reciprocal);
-    case PruningScheme::kCnp: {
-      uint64_t assignments = TotalBlockAssignments(blocks);
-      size_t nodes = std::max<size_t>(graph.num_nodes(), 1);
-      size_t k = static_cast<size_t>(std::max<uint64_t>(
-          1, static_cast<uint64_t>(std::llround(
-                 static_cast<double>(assignments) / nodes))));
-      return PruneCnp(graph, k, options.reciprocal);
-    }
+    case PruningScheme::kCnp:
+      return PruneCnp(graph, CnpBudget(blocks), options.reciprocal);
   }
   return {};
 }

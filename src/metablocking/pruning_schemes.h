@@ -41,6 +41,14 @@ struct PruneOptions {
   bool reciprocal = false;
 };
 
+/// CEP's global budget: half the block assignments of `blocks`, at least
+/// one edge.
+uint64_t CepBudget(const blocking::BlockCollection& blocks);
+
+/// CNP's per-node budget k: the mean block assignments per node of
+/// `blocks`, rounded, at least one edge.
+size_t CnpBudget(const blocking::BlockCollection& blocks);
+
 /// Applies the pruning scheme to the graph, using the block collection
 /// that produced it for the cardinality budgets of CEP/CNP. Returns the
 /// surviving edges (the meta-blocked candidate pairs), heaviest first.

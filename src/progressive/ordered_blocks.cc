@@ -10,15 +10,9 @@ OrderedBlocksScheduler::OrderedBlocksScheduler(
   order_.resize(blocks.NumBlocks());
   for (uint32_t b = 0; b < order_.size(); ++b) order_[b] = b;
   const model::EntityCollection* collection = blocks.collection();
-  auto cardinality = [&](uint32_t b) {
-    const blocking::Block& block = blocks_.blocks()[b];
-    return collection != nullptr
-               ? block.NumComparisons(*collection)
-               : block.size() * (block.size() - 1) / 2;
-  };
   std::sort(order_.begin(), order_.end(), [&](uint32_t x, uint32_t y) {
-    uint64_t cx = cardinality(x);
-    uint64_t cy = cardinality(y);
+    uint64_t cx = blocks.Cardinality(blocks.blocks()[x]);
+    uint64_t cy = blocks.Cardinality(blocks.blocks()[y]);
     if (cx != cy) return cx < cy;
     return x < y;
   });

@@ -579,8 +579,7 @@ blocking::BlockCollection ShardedResolver::IndexBlocks(
     const model::EntityCollection* collection) const {
   std::vector<blocking::Block> all;
   for (const auto& index : token_shards_) {
-    blocking::BlockCollection part = index.ToBlocks(collection);
-    for (blocking::Block& block : part.mutable_blocks()) {
+    for (blocking::Block& block : index.ToBlocks(collection).TakeBlocks()) {
       all.push_back(std::move(block));
     }
   }

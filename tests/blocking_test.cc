@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -75,15 +76,21 @@ TEST(BlockCollectionTest, DistinctPairsDeduplicatesAcrossBlocks) {
   EXPECT_EQ(blocks.DistinctPairs().size(), 3u);
 }
 
+std::vector<uint32_t> BlocksOf(const BlockIndex& index, model::EntityId id) {
+  std::span<const uint32_t> blocks = index.BlocksOf(id);
+  return {blocks.begin(), blocks.end()};
+}
+
 TEST(BlockCollectionTest, EntityToBlocksIndex) {
   model::EntityCollection c = TinyDirty(nullptr);
   BlockCollection blocks(&c);
   blocks.AddBlock(Block{"k1", {0, 1}});
   blocks.AddBlock(Block{"k2", {1, 2}});
-  auto index = blocks.EntityToBlocks();
-  ASSERT_EQ(index.size(), c.size());
-  EXPECT_EQ(index[1], (std::vector<uint32_t>{0, 1}));
-  EXPECT_TRUE(index[5].empty());
+  const BlockIndex& index = blocks.Index();
+  ASSERT_EQ(index.NumEntities(), c.size());
+  EXPECT_EQ(BlocksOf(index, 1), (std::vector<uint32_t>{0, 1}));
+  EXPECT_TRUE(index.BlocksOf(5).empty());
+  EXPECT_EQ(index.NumAssignments(), 4u);
 }
 
 // Rebuilds `blocks` from scratch, block by block, and checks that every
@@ -95,6 +102,14 @@ void ExpectSameAsFresh(const BlockCollection& blocks,
   BlockCollection fresh(blocks.collection());
   for (const Block& block : blocks.blocks()) fresh.AddBlock(block);
   ASSERT_EQ(fresh.NumBlocks(), blocks.NumBlocks());
+  // The index first: a stale one may name blocks that no longer exist.
+  const BlockIndex& index = blocks.Index();
+  const BlockIndex& want_index = fresh.Index();
+  ASSERT_EQ(index.NumEntities(), want_index.NumEntities());
+  ASSERT_EQ(index.NumAssignments(), want_index.NumAssignments());
+  for (model::EntityId id = 0; id < index.NumEntities(); ++id) {
+    ASSERT_EQ(BlocksOf(index, id), BlocksOf(want_index, id)) << "entity " << id;
+  }
   EXPECT_EQ(blocks.CandidatePairs(), fresh.CandidatePairs());
   EXPECT_EQ(blocks.CountDistinctPairs(), fresh.CountDistinctPairs());
   eval::BlockingQuality got = eval::EvaluateBlocks(blocks, truth);
@@ -123,6 +138,14 @@ TEST(BlockCollectionTest, DerivedViewsFollowEveryMutation) {
   ASSERT_EQ(PurgeBlocksAbove(blocks, 3), 1u);
   ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(blocks, truth));
   EXPECT_EQ(blocks.CountDistinctPairs(), 4u);
+  // A removal that shifts the remaining blocks down.
+  BlockCollection shifted = blocks;
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(shifted, truth));
+  ASSERT_EQ(shifted.RemoveBlocksIf(
+                [](const Block& block) { return block.key == "k1"; }),
+            1u);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(shifted, truth));
+  EXPECT_EQ(shifted.CountDistinctPairs(), 3u);
 
   // A copy taken after the views were read, then mutated on its own: the
   // copy sees its new block and the original does not.
@@ -140,6 +163,28 @@ TEST(BlockCollectionTest, DerivedViewsFollowEveryMutation) {
   assigned = copy;
   ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(assigned, truth));
   EXPECT_EQ(assigned.CandidatePairs(), copy.CandidatePairs());
+
+  // Taking the blocks leaves an empty collection with an empty index.
+  std::vector<Block> taken = std::move(assigned).TakeBlocks();
+  EXPECT_EQ(taken.size(), copy.NumBlocks());
+  EXPECT_TRUE(assigned.empty());  // NOLINT(bugprone-use-after-move)
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(assigned, truth));
+  EXPECT_EQ(assigned.Index().NumAssignments(), 0u);
+  EXPECT_TRUE(assigned.CandidatePairs().empty());
+}
+
+TEST(BlockCollectionTest, IndexIsBuiltOncePerBlockingState) {
+  model::GroundTruth truth;
+  model::EntityCollection c = TinyDirty(&truth);
+  BlockCollection blocks = TokenBlocking().Build(c);
+  const BlockIndex* index = &blocks.Index();
+  eval::EvaluateBlocks(blocks, truth);
+  blocks.CandidatePairs();
+  blocks.CountDistinctPairs();
+  EXPECT_EQ(&blocks.Index(), index);
+  // A copy shares the immutable index instead of building its own.
+  BlockCollection copy = blocks;
+  EXPECT_EQ(&copy.Index(), index);
 }
 
 TEST(BlockCollectionTest, ConcurrentReadersOfAFreshCollection) {
@@ -163,16 +208,6 @@ TEST(BlockCollectionTest, ConcurrentReadersOfAFreshCollection) {
   for (const std::vector<model::IdPair>& result : results) {
     EXPECT_EQ(result, reference);
   }
-}
-
-TEST(BlockCollectionTest, LargestBlockAndSort) {
-  model::EntityCollection c = TinyDirty(nullptr);
-  BlockCollection blocks(&c);
-  blocks.AddBlock(Block{"small", {0, 1}});
-  blocks.AddBlock(Block{"big", {0, 1, 2, 3}});
-  EXPECT_EQ(blocks.LargestBlock(), 1);
-  blocks.SortBlocksBySize();
-  EXPECT_EQ(blocks.blocks()[0].key, "small");
 }
 
 // ---------------------------------------------------------------------------

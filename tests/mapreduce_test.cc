@@ -264,7 +264,6 @@ TEST_P(ParallelMetaBlockingCombos, MatchesSequentialPairs) {
       blocks, param.weights, param.pruning, options, param.workers, &stats);
 
   EXPECT_EQ(parallel, sequential);
-  EXPECT_GT(stats.index_job.distinct_keys, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
@@ -192,6 +193,10 @@ struct SchemeCombo {
   WeightScheme weights;
   PruningScheme pruning;
 };
+
+void PrintTo(const SchemeCombo& combo, std::ostream* os) {
+  *os << ToString(combo.weights) << "+" << ToString(combo.pruning);
+}
 
 class MetaBlockingSweep : public ::testing::TestWithParam<SchemeCombo> {};
 

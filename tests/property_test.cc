@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,28 @@ std::vector<model::IdPair> ReferenceDistinctPairs(
   return pairs;
 }
 
+// The reference entity-to-block index: one list per entity, filled block
+// by block. It covers the collection's entities, or ids up to the largest
+// block member when there is no collection.
+std::vector<std::vector<uint32_t>> ReferenceEntityToBlocks(
+    const blocking::BlockCollection& blocks) {
+  size_t n = blocks.collection() != nullptr ? blocks.collection()->size() : 0;
+  if (n == 0) {
+    for (const blocking::Block& block : blocks.blocks()) {
+      for (model::EntityId id : block.entities) {
+        n = std::max<size_t>(n, id + 1);
+      }
+    }
+  }
+  std::vector<std::vector<uint32_t>> index(n);
+  for (uint32_t b = 0; b < blocks.NumBlocks(); ++b) {
+    for (model::EntityId id : blocks.blocks()[b].entities) {
+      index[id].push_back(b);
+    }
+  }
+  return index;
+}
+
 constexpr int kRandomEntities = 40;
 
 model::EntityCollection RandomCollection(bool clean_clean) {
@@ -152,6 +175,20 @@ model::GroundTruth RandomTruth(util::Rng& rng) {
 
 void ExpectWalkMatchesReference(const blocking::BlockCollection& blocks,
                                 const model::GroundTruth& truth) {
+  std::vector<std::vector<uint32_t>> reference_index =
+      ReferenceEntityToBlocks(blocks);
+  const blocking::BlockIndex& index = blocks.Index();
+  ASSERT_EQ(index.NumEntities(), reference_index.size());
+  uint64_t assignments = 0;
+  for (model::EntityId id = 0; id < index.NumEntities(); ++id) {
+    std::span<const uint32_t> mine = index.BlocksOf(id);
+    EXPECT_EQ(std::vector<uint32_t>(mine.begin(), mine.end()),
+              reference_index[id])
+        << "entity " << id;
+    assignments += reference_index[id].size();
+  }
+  EXPECT_EQ(index.NumAssignments(), assignments);
+
   std::vector<model::IdPair> reference = ReferenceDistinctPairs(blocks);
   // Each pair once, in its least common block, in (low, high) order.
   EXPECT_EQ(blocks.CandidatePairs(), reference);

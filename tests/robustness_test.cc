@@ -310,10 +310,10 @@ TEST(RobustnessTest, FilterRatioEdges) {
   blocking::BlockCollection blocks = blocking::TokenBlocking().Build(c);
   // Ratio <= 0 still keeps at least one block per entity.
   blocking::BlockCollection filtered = blocking::FilterBlocks(blocks, 0.0);
-  auto index = filtered.EntityToBlocks();
+  const blocking::BlockIndex& index = filtered.Index();
   size_t covered = 0;
-  for (const auto& list : index) {
-    if (!list.empty()) ++covered;
+  for (model::EntityId id = 0; id < index.NumEntities(); ++id) {
+    if (!index.BlocksOf(id).empty()) ++covered;
   }
   EXPECT_GT(covered, 0u);
 }
