@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -19,6 +22,7 @@
 #include "matching/matcher.h"
 #include "model/ground_truth.h"
 #include "obs/metrics.h"
+#include "storage/file_io.h"
 #include "tests/test_corpus.h"
 
 namespace weber::incremental {
@@ -61,6 +65,38 @@ std::set<std::vector<std::string>> CanonicalClusters(
   }
   return canonical;
 }
+
+/// A throwaway data directory, removed with its per-shard subdirectories
+/// when the test ends.
+class TempDir {
+ public:
+  TempDir() {
+    char pattern[] = "/tmp/weber-incremental-test-XXXXXX";
+    char* made = mkdtemp(pattern);
+    EXPECT_NE(made, nullptr);
+    path_ = made;
+  }
+  ~TempDir() {
+    std::vector<std::string> entries;
+    if (storage::ListDirectory(path_, &entries).ok()) {
+      for (const std::string& entry : entries) {
+        std::string child = path_ + "/" + entry;
+        std::vector<std::string> nested;
+        if (storage::ListDirectory(child, &nested).ok()) {
+          for (const std::string& inner : nested) {
+            std::remove((child + "/" + inner).c_str());
+          }
+        }
+        std::remove(child.c_str());
+      }
+    }
+    std::remove(path_.c_str());
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // ---------------------------------------------------------------------------
 // EntityStore
@@ -458,28 +494,67 @@ TEST(IncrementalReplayTest, PipelineIncrementalModeEqualsBatch) {
   core::PipelineResult batch =
       core::RunPipeline(corpus.collection, corpus.truth, batch_config);
 
-  core::PipelineConfig stream_config;
-  stream_config.matcher = &matcher;
-  stream_config.match_threshold = 0.5;
-  stream_config.incremental = core::IncrementalMode{};
-  core::PipelineResult streamed =
-      core::RunPipeline(corpus.collection, corpus.truth, stream_config);
+  // Every streaming configuration — one store or four shards, in memory
+  // or durable — must produce the identical run.
+  std::optional<core::PipelineResult> first;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    for (bool durable : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " durable=" + std::to_string(durable));
+      TempDir dir;
+      core::PipelineConfig stream_config;
+      stream_config.matcher = &matcher;
+      stream_config.match_threshold = 0.5;
+      stream_config.incremental = core::IncrementalMode{};
+      stream_config.incremental->shards = shards;
+      if (durable) stream_config.incremental->data_dir = dir.path();
+      core::PipelineResult streamed =
+          core::RunPipeline(corpus.collection, corpus.truth, stream_config);
+      EXPECT_FALSE(streamed.store_collection.has_value());
 
-  EXPECT_EQ(streamed.candidates, batch.candidates);
-  EXPECT_EQ(streamed.comparisons, batch.comparisons);
-  model::IdPairSet batch_matches(batch.matches.begin(), batch.matches.end());
-  model::IdPairSet stream_matches(streamed.matches.begin(),
-                                  streamed.matches.end());
-  EXPECT_EQ(stream_matches, batch_matches);
-  EXPECT_EQ(CanonicalClusters(streamed.clusters, corpus.collection),
-            CanonicalClusters(batch.clusters, corpus.collection));
-  EXPECT_DOUBLE_EQ(streamed.blocking_quality.PairCompleteness(),
-                   batch.blocking_quality.PairCompleteness());
-  EXPECT_DOUBLE_EQ(streamed.blocking_quality.PairQuality(),
-                   batch.blocking_quality.PairQuality());
-  EXPECT_EQ(streamed.curve.NumComparisons(), batch.curve.NumComparisons());
-  EXPECT_EQ(streamed.curve.MatchesAt(streamed.comparisons),
-            batch.curve.MatchesAt(batch.comparisons));
+      if (!first.has_value()) {
+        EXPECT_EQ(streamed.candidates, batch.candidates);
+        EXPECT_EQ(streamed.comparisons, batch.comparisons);
+        model::IdPairSet batch_matches(batch.matches.begin(),
+                                       batch.matches.end());
+        model::IdPairSet stream_matches(streamed.matches.begin(),
+                                        streamed.matches.end());
+        EXPECT_EQ(stream_matches, batch_matches);
+        EXPECT_EQ(CanonicalClusters(streamed.clusters, corpus.collection),
+                  CanonicalClusters(batch.clusters, corpus.collection));
+        EXPECT_DOUBLE_EQ(streamed.blocking_quality.PairCompleteness(),
+                         batch.blocking_quality.PairCompleteness());
+        EXPECT_DOUBLE_EQ(streamed.blocking_quality.PairQuality(),
+                         batch.blocking_quality.PairQuality());
+        EXPECT_EQ(streamed.curve.NumComparisons(),
+                  batch.curve.NumComparisons());
+        EXPECT_EQ(streamed.curve.MatchesAt(streamed.comparisons),
+                  batch.curve.MatchesAt(batch.comparisons));
+        first = std::move(streamed);
+      } else {
+        EXPECT_EQ(streamed.matches, first->matches);
+        EXPECT_EQ(streamed.clusters, first->clusters);
+        EXPECT_EQ(streamed.candidates, first->candidates);
+        EXPECT_EQ(streamed.comparisons, first->comparisons);
+        EXPECT_EQ(streamed.curve.CumulativeMatches(),
+                  first->curve.CumulativeMatches());
+        EXPECT_EQ(streamed.blocking_quality.PairCompleteness(),
+                  first->blocking_quality.PairCompleteness());
+        EXPECT_EQ(streamed.blocking_quality.PairQuality(),
+                  first->blocking_quality.PairQuality());
+      }
+
+      if (durable) {
+        // A second run over the same directory recovers the first run's
+        // entities and appends the collection again.
+        core::PipelineResult again =
+            core::RunPipeline(corpus.collection, corpus.truth, stream_config);
+        ASSERT_TRUE(again.store_collection.has_value());
+        EXPECT_EQ(again.store_collection->size(),
+                  2 * corpus.collection.size());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

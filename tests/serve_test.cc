@@ -31,6 +31,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/sharded_resolver.h"
+#include "tests/test_corpus.h"
 
 namespace weber::serve {
 namespace {
@@ -422,6 +423,83 @@ TEST(ShardedResolveServiceTest, WaitersCoalesceIntoOneHandedOffBatch) {
       service.Ingest({Person("http://kb/after", "dave black", "oslo")})
           .status,
       ServeErrc::kOk);
+}
+
+TEST(ShardedResolveServiceTest, ServesTinyCorpus) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    matching::TokenJaccardMatcher matcher;
+    ShardedServiceOptions options;
+    options.resolver.shards = shards;
+    options.resolver.match_threshold = 0.45;
+    ShardedResolveService service(&matcher, options);
+    model::EntityCollection tiny = ::weber::testing::TinyDirty(nullptr);
+    std::vector<model::EntityDescription> batch;
+    for (model::EntityId id = 0; id < tiny.size(); ++id) {
+      batch.push_back(tiny.at(id));
+    }
+    ShardedResolveService::IngestResult ingest =
+        service.Ingest(std::move(batch));
+    ASSERT_EQ(ingest.status, ServeErrc::kOk);
+    ASSERT_EQ(ingest.ids.size(), 6u);
+    auto resolution = service.Resolve(ingest.ids[0]);
+    ASSERT_TRUE(resolution.has_value());
+    EXPECT_EQ(resolution->members.size(), 2u);
+    EXPECT_EQ(service.Remove(ingest.ids[5]), ServeErrc::kOk);
+    EXPECT_EQ(service.Clusters().size(), 3u);
+    EXPECT_EQ(service.requests(), 1u);
+    EXPECT_EQ(service.batches_run(), 1u);
+  }
+}
+
+TEST(ShardedResolveServiceTest, ConcurrentIngestsResolveEveryEntity) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    matching::TokenJaccardMatcher matcher;
+    ShardedServiceOptions options;
+    options.max_batch = 32;
+    options.resolver.shards = shards;
+    options.resolver.match_threshold = 0.45;
+    ShardedResolveService service(&matcher, options);
+
+    constexpr size_t kThreads = 8;
+    constexpr size_t kPerThread = 25;
+    std::vector<std::vector<model::EntityId>> ids(kThreads);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&service, &ids, t] {
+        for (size_t i = 0; i < kPerThread; ++i) {
+          std::string tag = std::to_string(t * 1000 + i);
+          // Each entity arrives twice with identical values (Jaccard 1.0)
+          // so clusters must form regardless of request coalescing, while
+          // distinct entities share only the city token (1/3 < threshold).
+          ShardedResolveService::IngestResult got = service.Ingest(
+              {Person("u/" + tag + "/0", "name" + tag, "metropolis"),
+               Person("u/" + tag + "/1", "name" + tag, "metropolis")});
+          ASSERT_EQ(got.status, ServeErrc::kOk);
+          ids[t].insert(ids[t].end(), got.ids.begin(), got.ids.end());
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+
+    EXPECT_EQ(service.requests(), kThreads * kPerThread);
+    EXPECT_LE(service.batches_run(), service.requests());
+    EXPECT_EQ(service.resolver().size(), kThreads * kPerThread * 2);
+    // Every ingested entity resolves, and each duplicate pair shares a
+    // cluster regardless of how requests were coalesced.
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(ids[t].size(), kPerThread * 2);
+      for (size_t i = 0; i < kPerThread; ++i) {
+        auto left = service.Resolve(ids[t][2 * i]);
+        auto right = service.Resolve(ids[t][2 * i + 1]);
+        ASSERT_TRUE(left.has_value());
+        ASSERT_TRUE(right.has_value());
+        EXPECT_EQ(left->representative, right->representative);
+      }
+    }
+  }
 }
 
 /// Same regression for the single-store front door whose handoff the
