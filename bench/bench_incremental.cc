@@ -11,8 +11,8 @@
 // and the online purge cap bounds any posting that still grows too large.
 //
 // Rows: store size. Counters: entities/s, per-entity index updates,
-// candidates, merges, and p50/p99 Resolve latency (microseconds) from the
-// weber.incremental.resolve_seconds histogram.
+// candidates, merges, and p50/p99 Resolve latency (microseconds), timed
+// around each call in the bench loop.
 
 #include <benchmark/benchmark.h>
 
@@ -21,9 +21,10 @@
 #include <vector>
 
 #include "bench/bench_report.h"
-#include "incremental/serving.h"
+#include "incremental/resolver.h"
 #include "matching/matcher.h"
 #include "obs/metrics.h"
+#include "util/timer.h"
 
 namespace weber {
 namespace {
@@ -40,22 +41,20 @@ std::vector<model::EntityDescription> ServingCorpus(size_t n) {
   return entities;
 }
 
-incremental::ServiceOptions ServingOptions(obs::MetricsRegistry* registry) {
-  incremental::ServiceOptions options;
-  options.max_batch = 256;
-  options.resolver.match_threshold = 0.6;
+incremental::ResolverOptions ServingOptions() {
+  incremental::ResolverOptions options;
+  options.match_threshold = 0.6;
   // Online purging keeps any degenerate posting bounded.
-  options.resolver.index.max_block_size = 64;
-  options.resolver.metrics = registry;
+  options.index.max_block_size = 64;
   return options;
 }
 
-void IngestAll(incremental::ResolveService& service,
+void IngestAll(incremental::IncrementalResolver& resolver,
                std::vector<model::EntityDescription> entities,
                size_t batch_size) {
   for (size_t start = 0; start < entities.size(); start += batch_size) {
     size_t end = std::min(start + batch_size, entities.size());
-    service.Ingest(std::vector<model::EntityDescription>(
+    resolver.Ingest(std::vector<model::EntityDescription>(
         entities.begin() + static_cast<int64_t>(start),
         entities.begin() + static_cast<int64_t>(end)));
   }
@@ -69,11 +68,11 @@ void BM_IngestThroughput(benchmark::State& state) {
   uint64_t candidates = 0;
   uint64_t merges = 0;
   for (auto _ : state) {
-    incremental::ResolveService service(&matcher, ServingOptions(nullptr));
-    IngestAll(service, entities, 256);
-    index_updates = service.resolver().index_stats().updates;
-    candidates = service.resolver().candidates();
-    merges = service.resolver().merges();
+    incremental::IncrementalResolver resolver(&matcher, ServingOptions());
+    IngestAll(resolver, entities, 256);
+    index_updates = resolver.index_stats().updates;
+    candidates = resolver.candidates();
+    merges = resolver.merges();
   }
   state.counters["entities_per_s"] = benchmark::Counter(
       static_cast<double>(store_size) * static_cast<double>(state.iterations()),
@@ -91,19 +90,21 @@ BENCHMARK(BM_IngestThroughput)
 void BM_ResolveLatency(benchmark::State& state) {
   const size_t store_size = static_cast<size_t>(state.range(0));
   matching::TokenJaccardMatcher matcher;
-  obs::MetricsRegistry registry;
-  incremental::ResolveService service(&matcher, ServingOptions(&registry));
-  IngestAll(service, ServingCorpus(store_size), 256);
+  incremental::IncrementalResolver resolver(&matcher, ServingOptions());
+  IngestAll(resolver, ServingCorpus(store_size), 256);
 
   std::mt19937 rng(7);
   std::uniform_int_distribution<model::EntityId> pick(
       0, static_cast<model::EntityId>(store_size - 1));
+  obs::Histogram histogram(obs::Histogram::DefaultBounds());
   for (auto _ : state) {
-    auto resolution = service.Resolve(pick(rng));
+    model::EntityId id = pick(rng);
+    util::Timer timer;
+    auto resolution = resolver.Resolve(id);
+    histogram.Record(timer.ElapsedSeconds());
     benchmark::DoNotOptimize(resolution);
   }
-  obs::HistogramSnapshot latency =
-      registry.TakeSnapshot().histograms["weber.incremental.resolve_seconds"];
+  obs::HistogramSnapshot latency = histogram.Snapshot();
   state.counters["resolve_p50_us"] = latency.Quantile(0.5) * 1e6;
   state.counters["resolve_p99_us"] = latency.Quantile(0.99) * 1e6;
 }

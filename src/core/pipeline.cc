@@ -6,10 +6,11 @@
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
 #include "core/executor.h"
-#include "incremental/serving.h"
+#include "incremental/resolver.h"
 #include "matching/signatures.h"
-#include "serve/service.h"
 #include "obs/metrics.h"
+#include "serve/sharded_resolver.h"
+#include "storage/durable.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -36,169 +37,37 @@ class PhaseScope {
   const char* previous_;
 };
 
-/// The sharded resolve-on-ingest execution (IncrementalMode::shards > 1):
-/// the same stream replayed through a serve::ShardedResolveService, whose
-/// result is bit-equal to the single-shard path below.
-PipelineResult RunShardedIncrementalPipeline(
-    const model::EntityCollection& collection, const model::GroundTruth& truth,
-    const PipelineConfig& config) {
-  WEBER_CHECK(config.matcher != nullptr) << "pipeline needs a matcher";
-  WEBER_CHECK(collection.setting() == model::ErSetting::kDirty)
-      << "incremental mode resolves dirty collections";
-  const IncrementalMode& mode = *config.incremental;
-  WEBER_CHECK(mode.sn_window == 0 && !mode.merge_propagation)
-      << "sorted-neighbourhood and merge propagation are single-shard "
-         "features (shards == 1)";
-  PipelineResult result;
-  util::Timer timer;
-
-  obs::ScopedRegistry attach(config.metrics);
-  obs::MetricsRegistry* registry = obs::Current();
-  obs::Span pipeline_span(registry, "pipeline");
-
-  serve::ShardedServiceOptions service_options;
-  service_options.max_batch = mode.batch_size == 0 ? 64 : mode.batch_size;
-  service_options.resolver.shards = mode.shards;
-  service_options.resolver.match_threshold = config.match_threshold;
-  service_options.resolver.index = mode.index;
-  service_options.resolver.prepared_matching = config.prepared_matching;
-  service_options.resolver.metrics = registry;
-  service_options.resolver.data_dir = mode.data_dir;
-  service_options.resolver.fsync = mode.fsync;
-
-  serve::ShardedResolveService service(config.matcher, service_options);
-  WEBER_CHECK(service.recovery_status().ok())
-      << "durable recovery failed: "
-      << service.recovery_status().ToString();
-  eval::ProgressiveCurve curve(truth.NumMatches());
-  service.resolver().set_comparison_observer(
-      [&curve, &truth](const model::IdPair& pair, bool matched) {
-        curve.Record(matched && truth.IsMatch(pair));
-      });
-
-  {
-    obs::Span span(registry, "ingest");
-    PhaseScope phase("ingest");
-    std::vector<model::EntityDescription> batch;
-    batch.reserve(service_options.max_batch);
-    for (model::EntityId id = 0; id < collection.size(); ++id) {
-      batch.push_back(collection.at(id));
-      if (batch.size() == service_options.max_batch) {
-        serve::ShardedResolveService::IngestResult ingest =
-            service.Ingest(std::move(batch));
-        WEBER_CHECK(ingest.status == serve::ServeErrc::kOk)
-            << "sharded ingest failed: "
-            << serve::ServeErrcName(ingest.status);
-        batch.clear();
-        batch.reserve(service_options.max_batch);
-      }
-    }
-    if (!batch.empty()) {
-      serve::ShardedResolveService::IngestResult ingest =
-          service.Ingest(std::move(batch));
-      WEBER_CHECK(ingest.status == serve::ServeErrc::kOk)
-          << "sharded ingest failed: "
-          << serve::ServeErrcName(ingest.status);
-    }
-  }
-  result.matching_seconds = timer.ElapsedSeconds();
-  timer.Restart();
-
-  serve::ShardedResolver& resolver = service.resolver();
-  model::EntityCollection store_collection = resolver.CollectionSnapshot();
-
-  blocking::BlockCollection blocks;
-  {
-    obs::Span span(registry, "blocking");
-    PhaseScope phase("blocking");
-    blocks = resolver.IndexBlocks(&store_collection);
-    if (registry != nullptr) {
-      registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
-    }
-  }
-  {
-    obs::Span span(registry, "evaluation");
-    PhaseScope phase("evaluation");
-    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
-  }
-  result.blocking_seconds = timer.ElapsedSeconds();
-
-  {
-    obs::Span span(registry, "clustering");
-    PhaseScope phase("clustering");
-    result.clusters = resolver.Clusters();
-  }
-
-  result.candidates = resolver.candidates();
-  result.comparisons = resolver.comparisons();
-  result.matches = resolver.matches();
-  result.curve = std::move(curve);
-  if (resolver.size() != collection.size()) {
-    result.store_collection = std::move(store_collection);
-  }
-
-  {
-    obs::Span span(registry, "checkpoint");
-    PhaseScope phase("checkpoint");
-    storage::Status status = resolver.Checkpoint();
-    WEBER_CHECK(status.ok())
-        << "final checkpoint failed: " << status.ToString();
-  }
-
-  if (registry != nullptr) {
-    registry->GetCounter("weber.pipeline.candidates").Add(result.candidates);
-    registry->GetCounter("weber.pipeline.comparisons").Add(result.comparisons);
-    registry->GetCounter("weber.pipeline.matches").Add(result.matches.size());
-    registry->GetCounter("weber.pipeline.clusters")
-        .Add(result.clusters.size());
-    registry->GetCounter("weber.pipeline.runs").Increment();
-    Executor::Shared().PublishMetrics();
-  }
-  return result;
+/// The store's collection, for the blocking-quality export and for
+/// PipelineResult::store_collection: a reference into the single store,
+/// or a dense copy assembled from the shards into `copy`.
+const model::EntityCollection& StoreCollection(
+    const incremental::IncrementalResolver& resolver,
+    std::optional<model::EntityCollection>* /*copy*/) {
+  return resolver.store().collection();
+}
+const model::EntityCollection& StoreCollection(
+    const serve::ShardedResolver& resolver,
+    std::optional<model::EntityCollection>* copy) {
+  return copy->emplace(resolver.CollectionSnapshot());
 }
 
-/// The resolve-on-ingest execution: replays the collection through a
-/// ResolveService in batches, then reads quality, clusters and counters
-/// back out of the resolver. With merge propagation off this reproduces
-/// the batch result exactly (see IncrementalMode).
-PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
-                                      const model::GroundTruth& truth,
-                                      const PipelineConfig& config) {
-  WEBER_CHECK(config.matcher != nullptr) << "pipeline needs a matcher";
-  WEBER_CHECK(collection.setting() == model::ErSetting::kDirty)
-      << "incremental mode resolves dirty collections";
+/// The shared body of the resolve-on-ingest execution: replays the
+/// collection into `resolver` in batches through `ingest`, then reads
+/// quality, clusters and counters back out of it, and closes a durable
+/// run with `checkpoint` (empty exactly when mode.data_dir is). With merge
+/// propagation off this reproduces the batch result exactly, for either
+/// resolver and any shard count (see IncrementalMode).
+template <typename Resolver>
+PipelineResult StreamCollection(
+    const model::EntityCollection& collection, const model::GroundTruth& truth,
+    const IncrementalMode& mode, obs::MetricsRegistry* registry,
+    Resolver& resolver,
+    const std::function<void(std::vector<model::EntityDescription>)>& ingest,
+    const std::function<storage::Status()>& checkpoint) {
   PipelineResult result;
   util::Timer timer;
-
-  obs::ScopedRegistry attach(config.metrics);
-  obs::MetricsRegistry* registry = obs::Current();
-  obs::Span pipeline_span(registry, "pipeline");
-  ScopedParallelism parallelism(config.num_threads);
-
-  const IncrementalMode& mode = *config.incremental;
-  incremental::ServiceOptions service_options;
-  service_options.max_batch = mode.batch_size == 0 ? 64 : mode.batch_size;
-  service_options.resolver.match_threshold = config.match_threshold;
-  service_options.resolver.index = mode.index;
-  service_options.resolver.sn_window = mode.sn_window;
-  service_options.resolver.sn_options = mode.sn_options;
-  service_options.resolver.merge_propagation = mode.merge_propagation;
-  service_options.resolver.prepared_matching = config.prepared_matching;
-  service_options.resolver.metrics = registry;
-  if (!mode.data_dir.empty()) {
-    storage::DurabilityOptions durability;
-    durability.data_dir = mode.data_dir;
-    durability.snapshot_every = mode.snapshot_every;
-    durability.fsync = mode.fsync;
-    service_options.durability = durability;
-  }
-
-  incremental::ResolveService service(config.matcher, service_options);
-  WEBER_CHECK(service.recovery_status().ok())
-      << "durable recovery failed: "
-      << service.recovery_status().ToString();
   eval::ProgressiveCurve curve(truth.NumMatches());
-  service.resolver().set_comparison_observer(
+  resolver.set_comparison_observer(
       [&curve, &truth](const model::IdPair& pair, bool matched) {
         curve.Record(matched && truth.IsMatch(pair));
       });
@@ -207,29 +76,31 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
   {
     obs::Span span(registry, "ingest");
     PhaseScope phase("ingest");
+    const size_t batch_size = mode.batch_size == 0 ? 64 : mode.batch_size;
     std::vector<model::EntityDescription> batch;
-    batch.reserve(service_options.max_batch);
+    batch.reserve(batch_size);
     for (model::EntityId id = 0; id < collection.size(); ++id) {
       batch.push_back(collection.at(id));
-      if (batch.size() == service_options.max_batch) {
-        service.Ingest(std::move(batch));
+      if (batch.size() == batch_size) {
+        ingest(std::move(batch));
         batch.clear();
-        batch.reserve(service_options.max_batch);
+        batch.reserve(batch_size);
       }
     }
-    if (!batch.empty()) service.Ingest(std::move(batch));
+    if (!batch.empty()) ingest(std::move(batch));
   }
   result.matching_seconds = timer.ElapsedSeconds();
   timer.Restart();
 
-  incremental::IncrementalResolver& resolver = service.resolver();
+  std::optional<model::EntityCollection> copy;
+  const model::EntityCollection& store = StoreCollection(resolver, &copy);
 
   // ---- Blocking quality, from the delta index's exported blocks. ----
   blocking::BlockCollection blocks;
   {
     obs::Span span(registry, "blocking");
     PhaseScope phase("blocking");
-    blocks = resolver.IndexBlocks(&resolver.store().collection());
+    blocks = resolver.IndexBlocks(&store);
     if (registry != nullptr) {
       registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
     }
@@ -252,15 +123,16 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
   result.comparisons = resolver.comparisons();
   result.matches = resolver.matches();
   result.curve = std::move(curve);
-  if (resolver.store().size() != collection.size()) {
-    result.store_collection = resolver.store().collection();
+  if (store.size() != collection.size()) {
+    result.store_collection =
+        copy.has_value() ? std::move(*copy) : model::EntityCollection(store);
   }
 
-  // ---- Durability: fold the run's WAL into a final snapshot. ----
-  if (service.durable() != nullptr) {
+  // ---- Durability: make the run's log recoverable without replay. ----
+  if (checkpoint) {
     obs::Span span(registry, "checkpoint");
     PhaseScope phase("checkpoint");
-    storage::Status status = service.Checkpoint();
+    storage::Status status = checkpoint();
     WEBER_CHECK(status.ok())
         << "final checkpoint failed: " << status.ToString();
   }
@@ -277,6 +149,84 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
   return result;
 }
 
+void CheckRecovered(const storage::Status& status) {
+  WEBER_CHECK(status.ok()) << "durable recovery failed: " << status.ToString();
+}
+
+/// The resolve-on-ingest execution: builds the resolver the mode asks for
+/// — an IncrementalResolver (wrapped by a DurableResolver when data_dir is
+/// set) for one shard, a ShardedResolver for more — and streams the
+/// collection through it.
+PipelineResult RunStreamingPipeline(const model::EntityCollection& collection,
+                                    const model::GroundTruth& truth,
+                                    const PipelineConfig& config) {
+  WEBER_CHECK(config.matcher != nullptr) << "pipeline needs a matcher";
+  WEBER_CHECK(collection.setting() == model::ErSetting::kDirty)
+      << "incremental mode resolves dirty collections";
+  const IncrementalMode& mode = *config.incremental;
+
+  obs::ScopedRegistry attach(config.metrics);
+  obs::MetricsRegistry* registry = obs::Current();
+  obs::Span pipeline_span(registry, "pipeline");
+  ScopedParallelism parallelism(config.num_threads);
+
+  if (mode.shards > 1) {
+    WEBER_CHECK(mode.sn_window == 0 && !mode.merge_propagation)
+        << "sorted-neighbourhood and merge propagation are single-shard "
+           "features (shards == 1)";
+    serve::ShardedResolverOptions options;
+    options.shards = mode.shards;
+    options.match_threshold = config.match_threshold;
+    options.index = mode.index;
+    options.prepared_matching = config.prepared_matching;
+    options.metrics = registry;
+    options.data_dir = mode.data_dir;
+    options.fsync = mode.fsync;
+    serve::ShardedResolver resolver(config.matcher, options);
+    CheckRecovered(resolver.recovery_status());
+    std::function<storage::Status()> checkpoint;
+    if (!mode.data_dir.empty()) {
+      checkpoint = [&] { return resolver.Checkpoint(); };
+    }
+    return StreamCollection(
+        collection, truth, mode, registry, resolver,
+        [&](std::vector<model::EntityDescription> batch) {
+          resolver.Ingest(std::move(batch));
+        },
+        checkpoint);
+  }
+
+  incremental::ResolverOptions options;
+  options.match_threshold = config.match_threshold;
+  options.index = mode.index;
+  options.sn_window = mode.sn_window;
+  options.sn_options = mode.sn_options;
+  options.merge_propagation = mode.merge_propagation;
+  options.prepared_matching = config.prepared_matching;
+  options.metrics = registry;
+  if (mode.data_dir.empty()) {
+    incremental::IncrementalResolver resolver(config.matcher, options);
+    return StreamCollection(
+        collection, truth, mode, registry, resolver,
+        [&](std::vector<model::EntityDescription> batch) {
+          resolver.Ingest(std::move(batch));
+        },
+        nullptr);
+  }
+  storage::DurabilityOptions durability;
+  durability.data_dir = mode.data_dir;
+  durability.snapshot_every = mode.snapshot_every;
+  durability.fsync = mode.fsync;
+  storage::DurableResolver durable(config.matcher, options, durability);
+  CheckRecovered(durable.recovery_status());
+  return StreamCollection(
+      collection, truth, mode, registry, durable.resolver(),
+      [&](std::vector<model::EntityDescription> batch) {
+        durable.Ingest(std::move(batch));
+      },
+      [&] { return durable.Checkpoint(); });
+}
+
 }  // namespace
 
 const char* ActivePipelinePhase() {
@@ -287,10 +237,7 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
                            const model::GroundTruth& truth,
                            const PipelineConfig& config) {
   if (config.incremental.has_value()) {
-    if (config.incremental->shards > 1) {
-      return RunShardedIncrementalPipeline(collection, truth, config);
-    }
-    return RunIncrementalPipeline(collection, truth, config);
+    return RunStreamingPipeline(collection, truth, config);
   }
   WEBER_CHECK(config.blocker != nullptr) << "pipeline needs a blocker";
   WEBER_CHECK(config.matcher != nullptr) << "pipeline needs a matcher";

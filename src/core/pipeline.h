@@ -27,8 +27,10 @@ class MetricsRegistry;
 namespace weber::core {
 
 /// Incremental (resolve-on-ingest) execution of the pipeline: the
-/// collection is replayed through an incremental::ResolveService in
-/// ingest batches instead of being blocked and matched in one shot.
+/// collection is replayed in ingest batches through an
+/// incremental::IncrementalResolver (storage::DurableResolver when
+/// data_dir is set), or a serve::ShardedResolver when shards > 1, instead
+/// of being blocked and matched in one shot.
 ///
 /// With merge_propagation off the result is *replay-equivalent*: the
 /// final clusters equal the batch pipeline over the same collection with

@@ -37,39 +37,14 @@ obs::MetricsRegistry* IncrementalResolver::Registry() const {
   return options_.metrics != nullptr ? options_.metrics : obs::Current();
 }
 
-void IncrementalResolver::EnsureForestFresh() {
-  if (!forest_dirty_) return;
-  forest_dirty_ = false;
-  forest_ = util::UnionFind(store_.size());
-  members_.clear();
-  rep_cache_.clear();
-  scored_roots_.clear();
-  // matches_ only holds edges between live entities (Remove drops the
-  // rest), so the surviving forest is their transitive closure.
-  for (const model::IdPair& pair : matches_) {
-    model::EntityId ra = forest_.Find(pair.low);
-    model::EntityId rb = forest_.Find(pair.high);
-    if (ra != rb) MergeClusters(ra, rb);
-  }
-}
-
-const std::vector<model::EntityId>& IncrementalResolver::MembersOf(
-    model::EntityId root) {
-  auto it = members_.find(root);
-  if (it != members_.end()) return it->second;
-  singleton_scratch_.assign(1, root);
-  return singleton_scratch_;
-}
-
 const model::EntityDescription& IncrementalResolver::RepOf(
     model::EntityId root) {
-  auto members_it = members_.find(root);
-  if (members_it == members_.end()) return store_.at(root);
+  const std::vector<model::EntityId>& members = clusters_.MembersOf(root);
+  if (members.size() == 1) return store_.at(root);
   auto cached = rep_cache_.find(root);
   if (cached != rep_cache_.end()) return *cached->second;
   // Merge in ascending id order: deterministic regardless of the merge
   // history that produced the cluster.
-  const std::vector<model::EntityId>& members = members_it->second;
   auto rep = std::make_unique<model::EntityDescription>(
       store_.at(members.front()));
   for (size_t i = 1; i < members.size(); ++i) {
@@ -80,45 +55,12 @@ const model::EntityDescription& IncrementalResolver::RepOf(
   return result;
 }
 
-model::EntityId IncrementalResolver::MergeClusters(model::EntityId ra,
-                                                   model::EntityId rb) {
-  auto take = [this](model::EntityId root) {
-    auto it = members_.find(root);
-    if (it == members_.end()) return std::vector<model::EntityId>{root};
-    std::vector<model::EntityId> members = std::move(it->second);
-    members_.erase(it);
-    return members;
-  };
-  std::vector<model::EntityId> ma = take(ra);
-  std::vector<model::EntityId> mb = take(rb);
-  std::vector<model::EntityId> merged;
-  merged.reserve(ma.size() + mb.size());
-  std::merge(ma.begin(), ma.end(), mb.begin(), mb.end(),
-             std::back_inserter(merged));
-  rep_cache_.erase(ra);
-  rep_cache_.erase(rb);
-  forest_.Union(ra, rb);
-  model::EntityId root = forest_.Find(ra);
-  members_[root] = std::move(merged);
-  return root;
-}
-
-void IncrementalResolver::CommitMatch(const model::IdPair& pair) {
-  matches_.push_back(pair);
-  model::EntityId ra = forest_.Find(pair.low);
-  model::EntityId rb = forest_.Find(pair.high);
-  if (ra != rb) {
-    MergeClusters(ra, rb);
-    ++merges_;
-  }
-}
-
 void IncrementalResolver::ScoreRoots(model::EntityId ra, model::EntityId rb,
                                      std::vector<model::EntityId>* requeue) {
   model::IdPair key = model::IdPair::Of(ra, rb);
   std::pair<uint32_t, uint32_t> sizes{
-      static_cast<uint32_t>(forest_.SizeOf(key.low)),
-      static_cast<uint32_t>(forest_.SizeOf(key.high))};
+      static_cast<uint32_t>(clusters_.SizeOf(key.low)),
+      static_cast<uint32_t>(clusters_.SizeOf(key.high))};
   auto [it, inserted] = scored_roots_.try_emplace(key, sizes);
   if (!inserted) {
     if (it->second == sizes) return;  // Unchanged since last scored.
@@ -128,10 +70,9 @@ void IncrementalResolver::ScoreRoots(model::EntityId ra, model::EntityId rb,
   bool matched = matcher_.Matches(RepOf(ra), RepOf(rb));
   if (observer_) observer_(key, matched);
   if (matched) {
-    matches_.push_back(key);
-    model::EntityId root = MergeClusters(ra, rb);
-    ++merges_;
-    requeue->push_back(root);
+    rep_cache_.erase(ra);
+    rep_cache_.erase(rb);
+    requeue->push_back(clusters_.CommitRoots(ra, rb));
   }
 }
 
@@ -145,20 +86,20 @@ void IncrementalResolver::ResolveBatchPropagating(
   std::vector<model::EntityId> requeue;
   std::vector<model::EntityId> probe;
   for (const model::IdPair& pair : candidates) {
-    model::EntityId ra = forest_.Find(pair.low);
-    model::EntityId rb = forest_.Find(pair.high);
+    model::EntityId ra = clusters_.Find(pair.low);
+    model::EntityId rb = clusters_.Find(pair.high);
     if (ra == rb) continue;  // Already resolved together: merge saving.
     ScoreRoots(ra, rb, &requeue);
     while (!requeue.empty()) {
-      model::EntityId root = forest_.Find(requeue.back());
+      model::EntityId root = clusters_.Find(requeue.back());
       requeue.pop_back();
       ++requeues_;
       probe.clear();
       token_index_.Query(RepOf(root), &probe);
       for (model::EntityId other : probe) {
         if (!store_.alive(other)) continue;
-        model::EntityId merged_root = forest_.Find(root);
-        model::EntityId other_root = forest_.Find(other);
+        model::EntityId merged_root = clusters_.Find(root);
+        model::EntityId other_root = clusters_.Find(other);
         if (merged_root == other_root) continue;
         ScoreRoots(merged_root, other_root, &requeue);
       }
@@ -169,14 +110,14 @@ void IncrementalResolver::ResolveBatchPropagating(
 std::vector<model::EntityId> IncrementalResolver::Ingest(
     std::vector<model::EntityDescription> batch) {
   util::Timer timer;
-  EnsureForestFresh();
+  clusters_.Refresh(store_.size());
   uint64_t index_updates_before = token_index_.stats().updates;
   std::vector<model::EntityId> ids;
   ids.reserve(batch.size());
   for (model::EntityDescription& description : batch) {
     ids.push_back(store_.Append(std::move(description)));
   }
-  forest_.Grow(store_.size());
+  clusters_.Grow(store_.size());
   if (signatures_.has_value()) {
     for (model::EntityId id : ids) signatures_->Absorb(id, store_.at(id));
   }
@@ -202,7 +143,7 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
   candidates_ += candidates.size();
 
   uint64_t comparisons_before = comparisons_;
-  uint64_t merges_before = merges_;
+  uint64_t merges_before = clusters_.merges();
   if (options_.merge_propagation) {
     ResolveBatchPropagating(candidates);
   } else if (!candidates.empty()) {
@@ -228,7 +169,7 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
       bool matched = verdicts[i] != 0;
       ++comparisons_;
       if (observer_) observer_(candidates[i], matched);
-      if (matched) CommitMatch(candidates[i]);
+      if (matched) clusters_.Commit(candidates[i]);
     }
   }
   ++batches_;
@@ -242,7 +183,7 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
     registry->GetCounter("weber.incremental.comparisons")
         .Add(comparisons_ - comparisons_before);
     registry->GetCounter("weber.incremental.merges")
-        .Add(merges_ - merges_before);
+        .Add(clusters_.merges() - merges_before);
     // Delta-index proof-of-work counters: updates grows by at most the
     // batch's token count per ingest; full_builds stays 0 on this path.
     registry->GetCounter("weber.incremental.index_updates")
@@ -272,10 +213,10 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
 std::optional<IncrementalResolver::Resolution> IncrementalResolver::Resolve(
     model::EntityId id) {
   if (!store_.alive(id)) return std::nullopt;
-  EnsureForestFresh();
+  clusters_.Refresh(store_.size());
   Resolution resolution;
-  resolution.representative = forest_.Find(id);
-  resolution.members = MembersOf(resolution.representative);
+  resolution.representative = clusters_.Find(id);
+  resolution.members = clusters_.MembersOf(resolution.representative);
   return resolution;
 }
 
@@ -284,13 +225,10 @@ bool IncrementalResolver::Remove(model::EntityId id) {
   token_index_.Remove(id);
   if (sn_index_ != nullptr) sn_index_->Remove(id);
   if (signatures_.has_value()) signatures_->Release(id);
-  size_t before = matches_.size();
-  std::erase_if(matches_, [id](const model::IdPair& pair) {
-    return pair.low == id || pair.high == id;
-  });
-  // Only a clustered entity can change anyone else's resolution; dropping
-  // a singleton leaves the forest exact.
-  if (matches_.size() != before) forest_dirty_ = true;
+  if (clusters_.Retire(id)) {
+    rep_cache_.clear();
+    scored_roots_.clear();
+  }
   ++removed_;
   if (obs::MetricsRegistry* registry = Registry()) {
     registry->GetCounter("weber.incremental.removed").Increment();
@@ -301,16 +239,8 @@ bool IncrementalResolver::Remove(model::EntityId id) {
 }
 
 matching::Clusters IncrementalResolver::Clusters() {
-  EnsureForestFresh();
-  matching::Clusters clusters;
-  std::unordered_map<model::EntityId, size_t> slot_of_root;
-  for (model::EntityId id = 0; id < store_.size(); ++id) {
-    if (!store_.alive(id)) continue;
-    model::EntityId root = forest_.Find(id);
-    auto [it, inserted] = slot_of_root.try_emplace(root, clusters.size());
-    if (inserted) clusters.emplace_back();
-    clusters[it->second].push_back(id);
-  }
+  matching::Clusters clusters = clusters_.Clusters(
+      store_.size(), [this](model::EntityId id) { return store_.alive(id); });
   if (obs::MetricsRegistry* registry = Registry()) {
     registry->GetGauge("weber.incremental.clusters")
         .Set(static_cast<double>(clusters.size()));

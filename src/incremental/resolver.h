@@ -10,6 +10,7 @@
 
 #include "blocking/sorted_neighborhood.h"
 #include "blocking/token_blocking.h"
+#include "incremental/cluster_state.h"
 #include "incremental/delta_index.h"
 #include "incremental/entity_store.h"
 #include "matching/clustering.h"
@@ -17,7 +18,6 @@
 #include "matching/signatures.h"
 #include "model/entity.h"
 #include "model/ground_truth.h"
-#include "util/union_find.h"
 
 namespace weber::obs {
 class MetricsRegistry;
@@ -74,9 +74,9 @@ struct ResolverOptions {
 /// Closes the Update loop of Fig. 1 as a service: the mutable EntityStore
 /// holds the descriptions, delta indexes absorb each ingest and emit only
 /// the new candidate pairs, the configured matcher scores them (in
-/// parallel, committed in deterministic order), and a union-find with
-/// per-cluster member lists maintains the resolution. Not thread-safe;
-/// ResolveService (serving.h) adds the concurrent front door.
+/// parallel, committed in deterministic order), and a ClusterState
+/// maintains the resolution. Not thread-safe: callers serialise access
+/// (serve::ShardedResolveService is the concurrent front door).
 class IncrementalResolver {
  public:
   /// The matcher is borrowed and must outlive the resolver.
@@ -120,11 +120,13 @@ class IncrementalResolver {
 
   /// Match edges accepted so far, in commit order, minus edges retired by
   /// Remove.
-  const std::vector<model::IdPair>& matches() const { return matches_; }
+  const std::vector<model::IdPair>& matches() const {
+    return clusters_.matches();
+  }
 
   uint64_t comparisons() const { return comparisons_; }
   uint64_t candidates() const { return candidates_; }
-  uint64_t merges() const { return merges_; }
+  uint64_t merges() const { return clusters_.merges(); }
 
   const EntityStore& store() const { return store_; }
   const DeltaIndexStats& index_stats() const { return token_index_.stats(); }
@@ -145,16 +147,9 @@ class IncrementalResolver {
   friend class weber::storage::SnapshotCodec;
 
   obs::MetricsRegistry* Registry() const;
-  void EnsureForestFresh();
-  /// Live members of a root, ascending (singleton -> {root}).
-  const std::vector<model::EntityId>& MembersOf(model::EntityId root);
   /// Merged description of a root's cluster (cached; singleton -> the
   /// stored description).
   const model::EntityDescription& RepOf(model::EntityId root);
-  /// Unions two distinct roots, merging member lists and invalidating
-  /// representative caches. Returns the surviving root.
-  model::EntityId MergeClusters(model::EntityId ra, model::EntityId rb);
-  void CommitMatch(const model::IdPair& pair);
   /// Scores the representatives of two distinct roots unless this exact
   /// (root, size) configuration was already scored. Appends newly merged
   /// roots to `requeue`.
@@ -173,13 +168,10 @@ class IncrementalResolver {
   std::optional<matching::SignatureStore> signatures_;
   std::unique_ptr<matching::PreparedMatcher> prepared_;
 
-  util::UnionFind forest_{0};
-  bool forest_dirty_ = false;
-  // Member lists for non-singleton roots; singletons are implicit.
-  std::unordered_map<model::EntityId, std::vector<model::EntityId>> members_;
-  std::vector<model::EntityId> singleton_scratch_;
+  ClusterState clusters_;
   // Merge-propagation state: cached merged representatives and the
   // (root pair -> cluster sizes) fingerprint of already-scored pairs.
+  // Both are dropped whenever a Remove leaves the forest stale.
   std::unordered_map<model::EntityId,
                      std::unique_ptr<model::EntityDescription>>
       rep_cache_;
@@ -187,11 +179,9 @@ class IncrementalResolver {
                      model::IdPairHash>
       scored_roots_;
 
-  std::vector<model::IdPair> matches_;
   ComparisonObserver observer_;
   uint64_t comparisons_ = 0;
   uint64_t candidates_ = 0;
-  uint64_t merges_ = 0;
   uint64_t requeues_ = 0;
   uint64_t batches_ = 0;
   uint64_t removed_ = 0;

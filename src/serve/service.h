@@ -49,9 +49,8 @@ struct ShardedServiceOptions {
   ShardedResolverOptions resolver;
 };
 
-/// The concurrent front door of a ShardedResolver: the leader/follower
-/// coalescing of incremental::ResolveService generalised with bounded
-/// admission and typed load shedding.
+/// The concurrent front door of a ShardedResolver: leader/follower
+/// coalescing with bounded admission and typed load shedding.
 ///
 /// Ingest callers enqueue their batch; one caller becomes the leader
 /// (leadership hands off to the oldest waiter, so arrival order bounds
@@ -131,7 +130,11 @@ class ShardedResolveService {
   std::deque<Request*> queue_ GUARDED_BY(queue_mu_);
   size_t queued_entities_ GUARDED_BY(queue_mu_) = 0;
   bool leader_active_ GUARDED_BY(queue_mu_) = false;
-  /// Oldest-waiter leadership handoff (see incremental::ResolveService).
+  /// Fairness: when a leader finishes with requests still queued, it hands
+  /// leadership to the oldest waiter instead of letting all waiters re-race
+  /// the condition variable (under which a freshly-arrived caller could
+  /// keep winning and starve the head of the queue). Null = anyone may
+  /// lead.
   Request* designated_ GUARDED_BY(queue_mu_) = nullptr;
   bool shutting_down_ GUARDED_BY(queue_mu_) = false;
 

@@ -96,7 +96,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
     std::vector<model::EntityDescription> batch, bool log) {
   if (batch.empty()) return {};
   util::Timer timer;
-  EnsureForestFresh();
+  clusters_.Refresh(row_of_.size());
   const size_t n = batch.size();
   const size_t num_shards = options_.shards;
   uint64_t index_updates_before = 0;
@@ -122,7 +122,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
     gids[i] = first_gid + static_cast<model::EntityId>(i);
   }
   row_of_.resize(row_of_.size() + n);
-  forest_.Grow(row_of_.size());
+  clusters_.Grow(row_of_.size());
 
   // Executor affinity: every parallel phase below cuts at most `shards`
   // chunks, so the shard count is the unit of scaling (shards=1 runs the
@@ -335,7 +335,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   // both sides' shard stores, bit-equal to the string path), phase G —
   // ordered serial commit.
   uint64_t comparisons_before = comparisons_;
-  uint64_t merges_before = merges_;
+  uint64_t merges_before = clusters_.merges();
   if (!candidates.empty()) {
     std::vector<char> verdicts(candidates.size(), 0);
     auto score = [&](size_t i) {
@@ -362,7 +362,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
       bool matched = verdicts[i] != 0;
       ++comparisons_;
       if (observer_) observer_(candidates[i], matched);
-      if (matched) CommitMatch(candidates[i]);
+      if (matched) clusters_.Commit(candidates[i]);
     }
   }
   ++batches_;
@@ -377,7 +377,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
     registry->GetCounter("weber.incremental.comparisons")
         .Add(comparisons_ - comparisons_before);
     registry->GetCounter("weber.incremental.merges")
-        .Add(merges_ - merges_before);
+        .Add(clusters_.merges() - merges_before);
     registry->GetCounter("weber.incremental.index_updates")
         .Add(index.updates - index_updates_before);
     registry->GetGauge("weber.incremental.live_entities")
@@ -399,68 +399,13 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   return gids;
 }
 
-// ---------------------------------------------------------------------------
-// Clustering state (mirrors IncrementalResolver)
-// ---------------------------------------------------------------------------
-
-void ShardedResolver::EnsureForestFresh() {
-  if (!forest_dirty_) return;
-  forest_dirty_ = false;
-  forest_ = util::UnionFind(row_of_.size());
-  members_.clear();
-  for (const model::IdPair& pair : matches_) {
-    model::EntityId ra = forest_.Find(pair.low);
-    model::EntityId rb = forest_.Find(pair.high);
-    if (ra != rb) MergeClusters(ra, rb);
-  }
-}
-
-const std::vector<model::EntityId>& ShardedResolver::MembersOf(
-    model::EntityId root) {
-  auto it = members_.find(root);
-  if (it != members_.end()) return it->second;
-  singleton_scratch_.assign(1, root);
-  return singleton_scratch_;
-}
-
-model::EntityId ShardedResolver::MergeClusters(model::EntityId ra,
-                                               model::EntityId rb) {
-  auto take = [this](model::EntityId root) {
-    auto it = members_.find(root);
-    if (it == members_.end()) return std::vector<model::EntityId>{root};
-    std::vector<model::EntityId> members = std::move(it->second);
-    members_.erase(it);
-    return members;
-  };
-  std::vector<model::EntityId> ma = take(ra);
-  std::vector<model::EntityId> mb = take(rb);
-  std::vector<model::EntityId> merged;
-  merged.reserve(ma.size() + mb.size());
-  std::merge(ma.begin(), ma.end(), mb.begin(), mb.end(),
-             std::back_inserter(merged));
-  forest_.Union(ra, rb);
-  model::EntityId root = forest_.Find(ra);
-  members_[root] = std::move(merged);
-  return root;
-}
-
-void ShardedResolver::CommitMatch(const model::IdPair& pair) {
-  matches_.push_back(pair);
-  model::EntityId ra = forest_.Find(pair.low);
-  model::EntityId rb = forest_.Find(pair.high);
-  if (ra != rb) {
-    MergeClusters(ra, rb);
-    ++merges_;
-  }
-}
-
 std::optional<incremental::IncrementalResolver::Resolution>
 ShardedResolver::Resolve(model::EntityId id) {
   if (!alive(id)) return std::nullopt;
-  EnsureForestFresh();
+  clusters_.Refresh(row_of_.size());
   incremental::IncrementalResolver::Resolution resolution;
-  resolution.representative = forest_.Find(id);
-  resolution.members = MembersOf(resolution.representative);
+  resolution.representative = clusters_.Find(id);
+  resolution.members = clusters_.MembersOf(resolution.representative);
   return resolution;
 }
 
@@ -478,11 +423,7 @@ bool ShardedResolver::RemoveLocked(model::EntityId id, bool log) {
   // a no-op wherever the id was never posted.
   for (auto& index : token_shards_) index.Remove(id);
   if (shard.signatures.has_value()) shard.signatures->Release(row);
-  size_t before = matches_.size();
-  std::erase_if(matches_, [id](const model::IdPair& pair) {
-    return pair.low == id || pair.high == id;
-  });
-  if (matches_.size() != before) forest_dirty_ = true;
+  clusters_.Retire(id);
   ++removed_;
   if (log && durable_) {
     storage::ByteWriter payload;
@@ -503,16 +444,8 @@ bool ShardedResolver::RemoveLocked(model::EntityId id, bool log) {
 }
 
 matching::Clusters ShardedResolver::Clusters() {
-  EnsureForestFresh();
-  matching::Clusters clusters;
-  std::unordered_map<model::EntityId, size_t> slot_of_root;
-  for (model::EntityId id = 0; id < row_of_.size(); ++id) {
-    if (!alive(id)) continue;
-    model::EntityId root = forest_.Find(id);
-    auto [it, inserted] = slot_of_root.try_emplace(root, clusters.size());
-    if (inserted) clusters.emplace_back();
-    clusters[it->second].push_back(id);
-  }
+  matching::Clusters clusters = clusters_.Clusters(
+      row_of_.size(), [this](model::EntityId id) { return alive(id); });
   if (obs::MetricsRegistry* registry = Registry()) {
     registry->GetGauge("weber.incremental.clusters")
         .Set(static_cast<double>(clusters.size()));
@@ -565,8 +498,8 @@ uint64_t ShardedResolver::StateDigest() const {
       crc = storage::Crc32c(chunk.data(), chunk.size(), crc);
     }
   }
-  writer.PutU64(matches_.size());
-  for (const model::IdPair& pair : matches_) {
+  writer.PutU64(matches().size());
+  for (const model::IdPair& pair : matches()) {
     writer.PutU32(pair.low);
     writer.PutU32(pair.high);
   }

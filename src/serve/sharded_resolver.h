@@ -7,11 +7,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "blocking/token_blocking.h"
+#include "incremental/cluster_state.h"
 #include "incremental/delta_index.h"
 #include "incremental/entity_store.h"
 #include "incremental/resolver.h"
@@ -23,7 +23,6 @@
 #include "storage/options.h"
 #include "storage/status.h"
 #include "storage/wal.h"
-#include "util/union_find.h"
 
 namespace weber::obs {
 class MetricsRegistry;
@@ -134,11 +133,13 @@ class ShardedResolver {
   matching::Clusters Clusters();
 
   /// Match edges accepted so far, in commit order, minus removed ones.
-  const std::vector<model::IdPair>& matches() const { return matches_; }
+  const std::vector<model::IdPair>& matches() const {
+    return clusters_.matches();
+  }
 
   uint64_t comparisons() const { return comparisons_; }
   uint64_t candidates() const { return candidates_; }
-  uint64_t merges() const { return merges_; }
+  uint64_t merges() const { return clusters_.merges(); }
   /// Mutations applied (and, when durable, logged) so far — one per
   /// ingest batch or successful remove.
   uint64_t osn() const { return osn_next_; }
@@ -194,10 +195,6 @@ class ShardedResolver {
   std::vector<model::EntityId> IngestLocked(
       std::vector<model::EntityDescription> batch, bool log);
   bool RemoveLocked(model::EntityId id, bool log);
-  void EnsureForestFresh();
-  const std::vector<model::EntityId>& MembersOf(model::EntityId root);
-  model::EntityId MergeClusters(model::EntityId ra, model::EntityId rb);
-  void CommitMatch(const model::IdPair& pair);
 
   storage::Status RecoverOrInit();
   storage::Status InitFresh();
@@ -220,16 +217,10 @@ class ShardedResolver {
   /// Global id -> row within its owning shard's store.
   std::vector<uint32_t> row_of_;
 
-  util::UnionFind forest_{0};
-  bool forest_dirty_ = false;
-  std::unordered_map<model::EntityId, std::vector<model::EntityId>> members_;
-  std::vector<model::EntityId> singleton_scratch_;
-
-  std::vector<model::IdPair> matches_;
+  incremental::ClusterState clusters_;
   ComparisonObserver observer_;
   uint64_t comparisons_ = 0;
   uint64_t candidates_ = 0;
-  uint64_t merges_ = 0;
   uint64_t batches_ = 0;
   uint64_t removed_ = 0;
   uint64_t osn_next_ = 0;

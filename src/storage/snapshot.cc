@@ -453,12 +453,12 @@ struct SnapshotCodec::Impl {
 
   static void EncodeResolverManifest(
       const incremental::IncrementalResolver& resolver, ByteWriter* out) {
-    out->PutU64(resolver.matches_.size());
-    out->PutRaw(resolver.matches_.data(),
-                resolver.matches_.size() * sizeof(model::IdPair));
+    const std::vector<model::IdPair>& matches = resolver.clusters_.matches();
+    out->PutU64(matches.size());
+    out->PutRaw(matches.data(), matches.size() * sizeof(model::IdPair));
     out->PutU64(resolver.comparisons_);
     out->PutU64(resolver.candidates_);
-    out->PutU64(resolver.merges_);
+    out->PutU64(resolver.clusters_.merges());
     out->PutU64(resolver.requeues_);
     out->PutU64(resolver.batches_);
     out->PutU64(resolver.removed_);
@@ -670,14 +670,15 @@ Status SnapshotCodec::Load(const std::string& path,
   if (!status.ok()) return status;
 
   uint64_t counters[6] = {};
+  std::vector<model::IdPair> matches;
   std::vector<std::string> purged;
-  resolver->matches_.clear();
-  status = DecodeResolverManifest(image, &resolver->matches_, counters,
-                                  &purged);
+  status = DecodeResolverManifest(image, &matches, counters, &purged);
   if (!status.ok()) return status;
+  // The union-find forest is the transitive closure of the matches; the
+  // cluster state rebuilds it exactly on the next public call.
+  resolver->clusters_.Reset(std::move(matches), counters[2]);
   resolver->comparisons_ = counters[0];
   resolver->candidates_ = counters[1];
-  resolver->merges_ = counters[2];
   resolver->requeues_ = counters[3];
   resolver->batches_ = counters[4];
   resolver->removed_ = counters[5];
@@ -714,10 +715,6 @@ Status SnapshotCodec::Load(const std::string& path,
   status = DecodeAnnex(image, &resolver->token_index_.stats_);
   if (!status.ok()) return status;
 
-  // The union-find forest is the transitive closure of matches_; flagging
-  // it dirty makes the next public call rebuild it exactly.
-  resolver->forest_dirty_ = true;
-  resolver->members_.clear();
   resolver->rep_cache_.clear();
   resolver->scored_roots_.clear();
 

@@ -7,7 +7,6 @@
 #include <random>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blocking/sorted_neighborhood.h"
@@ -18,7 +17,6 @@
 #include "incremental/delta_index.h"
 #include "incremental/entity_store.h"
 #include "incremental/resolver.h"
-#include "incremental/serving.h"
 #include "matching/matcher.h"
 #include "model/ground_truth.h"
 #include "obs/metrics.h"
@@ -592,72 +590,6 @@ TEST(IncrementalScaleTest, SingleIngestIntoLargeStoreDoesNotRebuildIndex) {
   EXPECT_EQ(resolver.index_stats().full_builds, 0u);
   // And the new entity still got blocked against its group.
   EXPECT_GT(resolver.candidates(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ResolveService
-// ---------------------------------------------------------------------------
-
-TEST(ResolveServiceTest, ServesTinyCorpus) {
-  matching::TokenJaccardMatcher matcher;
-  ServiceOptions options;
-  options.resolver.match_threshold = 0.45;
-  ResolveService service(&matcher, options);
-  std::vector<model::EntityId> ids =
-      service.Ingest(Descriptions(TinyDirty(nullptr)));
-  ASSERT_EQ(ids.size(), 6u);
-  auto resolution = service.Resolve(ids[0]);
-  ASSERT_TRUE(resolution.has_value());
-  EXPECT_EQ(resolution->members.size(), 2u);
-  EXPECT_TRUE(service.Remove(ids[5]));
-  EXPECT_EQ(service.Clusters().size(), 3u);
-  EXPECT_EQ(service.requests(), 1u);
-  EXPECT_EQ(service.batches_run(), 1u);
-}
-
-TEST(ResolveServiceTest, ConcurrentIngestsResolveEveryEntity) {
-  matching::TokenJaccardMatcher matcher;
-  ServiceOptions options;
-  options.max_batch = 32;
-  options.resolver.match_threshold = 0.45;
-  ResolveService service(&matcher, options);
-
-  constexpr size_t kThreads = 8;
-  constexpr size_t kPerThread = 25;
-  std::vector<std::vector<model::EntityId>> ids(kThreads);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&service, &ids, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        std::string tag = std::to_string(t * 1000 + i);
-        // Each entity arrives twice with identical values (Jaccard 1.0)
-        // so clusters must form regardless of request coalescing, while
-        // distinct entities share only the city token (1/3 < threshold).
-        std::vector<model::EntityId> got = service.Ingest(
-            {Person("u/" + tag + "/0", "name" + tag, "metropolis"),
-             Person("u/" + tag + "/1", "name" + tag, "metropolis")});
-        ids[t].insert(ids[t].end(), got.begin(), got.end());
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-
-  EXPECT_EQ(service.requests(), kThreads * kPerThread);
-  EXPECT_LE(service.batches_run(), service.requests());
-  EXPECT_EQ(service.resolver().store().size(), kThreads * kPerThread * 2);
-  // Every ingested entity resolves, and each duplicate pair shares a
-  // cluster regardless of how requests were coalesced.
-  for (size_t t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(ids[t].size(), kPerThread * 2);
-    for (size_t i = 0; i < kPerThread; ++i) {
-      auto left = service.Resolve(ids[t][2 * i]);
-      auto right = service.Resolve(ids[t][2 * i + 1]);
-      ASSERT_TRUE(left.has_value());
-      ASSERT_TRUE(right.has_value());
-      EXPECT_EQ(left->representative, right->representative);
-    }
-  }
 }
 
 }  // namespace

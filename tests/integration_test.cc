@@ -154,7 +154,7 @@ TEST(PipelineIntegrationExtra, MetaBlockingPlusProgressiveScheduler) {
   config.matcher = &matcher;
   config.match_threshold = 0.5;
   config.budget = corpus.collection.size() * 4;
-  config.make_scheduler = [](const model::EntityCollection& collection,
+  config.make_scheduler = [](const model::EntityCollection& /*collection*/,
                              std::vector<model::IdPair> candidates)
       -> std::unique_ptr<progressive::PairScheduler> {
     // Candidates from meta-blocking arrive heaviest-first; keep order.

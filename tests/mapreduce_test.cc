@@ -124,7 +124,9 @@ TEST(ParallelForTest, WorkerCpuReported) {
       100, 4,
       [](size_t i) {
         volatile double acc = 0.0;
-        for (size_t k = 0; k < 1000; ++k) acc += static_cast<double>(i + k);
+        for (size_t k = 0; k < 1000; ++k) {
+          acc = acc + static_cast<double>(i + k);
+        }
       },
       &cpu);
   ASSERT_EQ(cpu.size(), 4u);

@@ -22,7 +22,6 @@
 #include "core/executor.h"
 #include "datagen/corpus_generator.h"
 #include "incremental/resolver.h"
-#include "incremental/serving.h"
 #include "matching/matcher.h"
 #include "model/entity.h"
 #include "obs/metrics.h"
@@ -500,51 +499,6 @@ TEST(ShardedResolveServiceTest, ConcurrentIngestsResolveEveryEntity) {
       }
     }
   }
-}
-
-/// Same regression for the single-store front door whose handoff the
-/// sharded service generalises: with a slow leading batch and waiters
-/// piled up, leadership passes to the oldest waiter which drains the
-/// whole queue — and the service keeps serving afterwards.
-TEST(ResolveServiceFairnessTest, OldestWaiterInheritsLeadership) {
-  GatedMatcher matcher;
-  incremental::ServiceOptions options;
-  options.max_batch = 64;
-  incremental::ResolveService service(&matcher, options);
-
-  std::thread leader([&] {
-    std::vector<model::EntityId> ids = service.Ingest({
-        Person("http://kb/l1", "alice smith", "paris"),
-        Person("http://kb/l2", "alice smith", "paris"),
-    });
-    EXPECT_EQ(ids.size(), 2u);
-  });
-
-  constexpr int kWaiters = 5;
-  std::atomic<int> started{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&, i] {
-      started.fetch_add(1);
-      std::vector<model::EntityId> ids = service.Ingest(
-          {Person("http://kb/w" + std::to_string(i), "frank black",
-                  "berlin")});
-      EXPECT_EQ(ids.size(), 1u);
-    });
-  }
-  while (started.load() < kWaiters) std::this_thread::sleep_for(
-      milliseconds(1));
-  std::this_thread::sleep_for(milliseconds(50));
-  matcher.Open();
-  leader.join();
-  for (std::thread& t : waiters) t.join();
-
-  EXPECT_EQ(service.requests(), 1u + kWaiters);
-  EXPECT_LE(service.batches_run(), 3u);
-  EXPECT_EQ(service.resolver().store().size(), 2u + kWaiters);
-  EXPECT_EQ(service.Ingest({Person("http://kb/after", "erin", "oslo")})
-                .size(),
-            1u);
 }
 
 // ---------------------------------------------------------------------------

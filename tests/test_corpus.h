@@ -10,10 +10,10 @@
 namespace weber::testing {
 
 /// A small hand-built dirty collection with known duplicate structure:
-///   0: alice smith, paris      \
-///   1: alice smyth, paris       } duplicates (entity A)
-///   2: bob jones, berlin       \
-///   3: bob jones, munich        } duplicates (entity B)
+///   0: alice smith, paris     -+
+///   1: alice smyth, paris     -+- duplicates (entity A)
+///   2: bob jones, berlin      -+
+///   3: bob jones, munich      -+- duplicates (entity B)
 ///   4: carol white, lisbon        singleton
 ///   5: dave black, oslo           singleton
 /// Truth: {0,1}, {2,3}.
