@@ -17,13 +17,16 @@
 // paths (meta-blocking weighting/pruning and batched progressive
 // matching) on the shared work-stealing pool: `balance_speedup` is read
 // back from the `weber.executor.parallel_for_balance` histogram the
-// ParallelFor calls publish.
+// ParallelFor calls publish. The distinct-matching rows time the
+// declared-distinct slice against the screened batches in wall-clock.
 //
 // Rows: (job, workers).
 
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "bench/bench_report.h"
 #include "bench/bench_util.h"
@@ -33,6 +36,7 @@
 #include "mapreduce/parallel_meta_blocking.h"
 #include "mapreduce/parallel_token_blocking.h"
 #include "matching/matcher.h"
+#include "matching/signatures.h"
 #include "metablocking/pruning_schemes.h"
 #include "obs/metrics.h"
 #include "progressive/scheduler.h"
@@ -148,6 +152,42 @@ void BM_ExecutorBatchedMatching(benchmark::State& state) {
   state.counters["balance_speedup"] = MeasuredBalance(run);
 }
 BENCHMARK(BM_ExecutorBatchedMatching)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->MinTime(0.5);
+
+// The same candidates scored with the prepared Jaccard, through the
+// screened batch loop (declared = 0) or declared distinct and scored as
+// one slice (declared = 1). The slice does not go through ParallelFor, so
+// the row reports wall-clock time only, no balance.
+void BM_ExecutorDistinctMatching(benchmark::State& state) {
+  size_t threads = static_cast<size_t>(state.range(0));
+  bool declared = state.range(1) != 0;
+  core::ScopedParallelism parallelism(threads);
+  const datagen::Corpus& corpus = Corpus();
+  std::vector<model::IdPair> candidates = metablocking::MetaBlock(
+      Blocks(), metablocking::WeightScheme::kJs,
+      metablocking::PruningScheme::kWnp);
+  matching::TokenJaccardMatcher matcher;
+  matching::ThresholdMatcher threshold(&matcher, 0.5);
+  matching::SignatureStore store = matching::SignatureStore::Build(
+      corpus.collection, matching::OptionsFor(matcher));
+  std::unique_ptr<matching::PreparedMatcher> prepared =
+      matching::Prepare(matcher, store);
+  for (auto _ : state) {
+    progressive::StaticListScheduler scheduler =
+        declared ? progressive::StaticListScheduler::FromDistinct(candidates)
+                 : progressive::StaticListScheduler(candidates);
+    auto result = progressive::RunProgressive(
+        corpus.collection, scheduler, threshold, candidates.size(),
+        corpus.truth, prepared.get());
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["workers"] = static_cast<double>(threads);
+  state.counters["pairs"] = static_cast<double>(candidates.size());
+}
+BENCHMARK(BM_ExecutorDistinctMatching)
+    ->ArgNames({"workers", "declared"})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 
 }  // namespace

@@ -298,8 +298,9 @@ void Executor::ParallelChunks(
   if (n == 0) return;
   size_t chunk_size = (n + chunks - 1) / chunks;
   size_t live = (n + chunk_size - 1) / chunk_size;
+  // The CPU clock is a syscall, read only when chunk_cpu asks for it.
   if (live <= 1) {
-    double cpu_start = util::ThreadCpuSeconds();
+    double cpu_start = chunk_cpu != nullptr ? util::ThreadCpuSeconds() : 0.0;
     fn(0, 0, n);
     if (chunk_cpu != nullptr) {
       (*chunk_cpu)[0] = util::ThreadCpuSeconds() - cpu_start;
@@ -312,7 +313,8 @@ void Executor::ParallelChunks(
     size_t end = std::min(n, begin + chunk_size);
     WEBER_DCHECK_LT(begin, end) << "empty chunk dispatched";
     group.Run([&fn, chunk_cpu, c, begin, end] {
-      double cpu_start = util::ThreadCpuSeconds();
+      double cpu_start =
+          chunk_cpu != nullptr ? util::ThreadCpuSeconds() : 0.0;
       fn(c, begin, end);
       if (chunk_cpu != nullptr) {
         (*chunk_cpu)[c] = util::ThreadCpuSeconds() - cpu_start;

@@ -95,7 +95,8 @@ class Executor {
   /// [0, n), sized ceil(n / chunks) like the historical MapReduce phases
   /// (trailing chunks may be empty and are not dispatched). chunk_cpu, when
   /// non-null, receives one thread-CPU-seconds entry per chunk regardless
-  /// of which thread ran it — the input of the *_balance_speedup metrics.
+  /// of which thread ran it — the input of the *_balance_speedup metrics;
+  /// with chunk_cpu null no CPU clock is read.
   /// Runs inline when only one chunk is non-empty. Rethrows the first
   /// chunk exception.
   void ParallelChunks(

@@ -2,12 +2,35 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <string>
 
 #include "core/executor.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
 namespace weber::progressive {
+
+namespace {
+
+// The first pair, in (low, high) order, that breaks the contract of a
+// declared-distinct list, as text, or "" when the list keeps it.
+std::string DistinctListViolation(const model::EntityCollection& collection,
+                                  const std::vector<model::IdPair>& pairs) {
+  std::vector<model::IdPair> sorted = pairs;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const model::IdPair& pair = sorted[i];
+    if (pair.low >= pair.high || !collection.Comparable(pair.low, pair.high) ||
+        (i > 0 && pair == sorted[i - 1])) {
+      return "(" + std::to_string(pair.low) + ", " +
+             std::to_string(pair.high) + ")";
+    }
+  }
+  return "";
+}
+
+}  // namespace
 
 ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
                                     PairScheduler& scheduler,
@@ -16,51 +39,21 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
                                     const model::GroundTruth& truth,
                                     const matching::PreparedMatcher* prepared) {
   ProgressiveRunResult result(truth.NumMatches());
-  model::IdPairSet executed;
   // Aggregated locally and published once at the end: the loop body is
   // the hot path of the whole matching phase.
   uint64_t scheduled = 0;
   uint64_t skipped = 0;
-  // An adaptive scheduler must see each verdict before handing out the
-  // next pair, so its batch size is pinned to 1 — the loop below then
-  // interleaves NextPair / score / OnResult exactly like a serial run.
-  // Static schedules admit prefetching: pairs are popped and screened in
-  // schedule order, scored concurrently, and committed in schedule order,
-  // so budget accounting, the curve, and OnResult feedback are
-  // byte-identical to the serial execution.
-  const size_t max_batch =
-      scheduler.AdaptsToFeedback()
-          ? 1
-          : std::min<size_t>(core::EffectiveParallelism() * 8, 256);
-  std::vector<model::IdPair> batch;
   std::vector<char> verdicts;  // Not vector<bool>: slots written in parallel.
-  bool exhausted = false;
-  while (!exhausted && result.comparisons < budget) {
-    batch.clear();
-    const uint64_t remaining = budget - result.comparisons;
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(max_batch, remaining));
-    while (batch.size() < want) {
-      std::optional<model::IdPair> pair = scheduler.NextPair();
-      if (!pair.has_value()) {
-        exhausted = true;
-        break;
-      }
-      ++scheduled;
-      if (pair->low == pair->high ||
-          !collection.Comparable(pair->low, pair->high) ||
-          !executed.insert(*pair).second) {
-        ++skipped;  // Self-pair, incomparable, or already evaluated.
-        continue;
-      }
-      WEBER_DCHECK_LT(pair->low, pair->high)
-          << "scheduler emitted an unnormalised pair";
-      batch.push_back(*pair);
-    }
-    if (batch.empty()) continue;
-    verdicts.assign(batch.size(), 0);
+  // The one scoring body of both paths: scores `pairs` concurrently, then
+  // commits the verdicts serially in schedule order, so budget accounting,
+  // the curve, and OnResult feedback are byte-identical to a serial run.
+  // A whole slice is cut into 8 chunks per worker so that stealing evens
+  // out uneven pair costs; a batch goes through ParallelFor.
+  auto score_and_commit = [&](std::span<const model::IdPair> pairs,
+                              bool whole_slice) {
+    verdicts.assign(pairs.size(), 0);
     auto score = [&](size_t i) {
-      const model::IdPair& pair = batch[i];
+      const model::IdPair& pair = pairs[i];
       bool matched = prepared != nullptr
                          ? prepared->Matches(pair.low, pair.high,
                                              matcher.threshold())
@@ -68,18 +61,74 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
                                            collection[pair.high]);
       verdicts[i] = matched ? 1 : 0;
     };
-    if (batch.size() == 1) {
-      score(0);
+    const size_t parallelism = core::EffectiveParallelism();
+    if (pairs.size() == 1 || parallelism == 1) {
+      for (size_t i = 0; i < pairs.size(); ++i) score(i);
+    } else if (whole_slice) {
+      core::Executor::Shared().ParallelChunks(
+          pairs.size(), 8 * parallelism,
+          [&score](size_t, size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) score(i);
+          });
     } else {
-      core::Executor::Shared().ParallelFor(batch.size(), score);
+      core::Executor::Shared().ParallelFor(pairs.size(), score);
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const model::IdPair& pair = batch[i];
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const model::IdPair& pair = pairs[i];
       bool matched = verdicts[i] != 0;
       ++result.comparisons;
       result.curve.Record(matched && truth.IsMatch(pair));
       if (matched) result.reported.push_back(pair);
       scheduler.OnResult(pair, matched);
+    }
+  };
+
+  if (const std::vector<model::IdPair>* list = scheduler.DistinctList()) {
+    // A declared-distinct list has nothing to screen or deduplicate, so
+    // its budgeted prefix is scored as one slice.
+    WEBER_DCHECK_EQ(DistinctListViolation(collection, *list), std::string())
+        << "a declared-distinct schedule holds a repeated, self, "
+        << "unnormalised or incomparable pair";
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(list->size(), budget));
+    scheduled = n;
+    score_and_commit(std::span(list->data(), n), /*whole_slice=*/true);
+  } else {
+    model::IdPairSet executed;
+    // An adaptive scheduler must see each verdict before handing out the
+    // next pair, so its batch size is pinned to 1 — the loop below then
+    // interleaves NextPair / score / OnResult exactly like a serial run.
+    // Static schedules admit prefetching: pairs are popped and screened in
+    // schedule order, then scored and committed as one batch.
+    const size_t max_batch =
+        scheduler.AdaptsToFeedback()
+            ? 1
+            : std::min<size_t>(core::EffectiveParallelism() * 8, 256);
+    std::vector<model::IdPair> batch;
+    bool exhausted = false;
+    while (!exhausted && result.comparisons < budget) {
+      batch.clear();
+      const uint64_t remaining = budget - result.comparisons;
+      const size_t want = static_cast<size_t>(
+          std::min<uint64_t>(max_batch, remaining));
+      while (batch.size() < want) {
+        std::optional<model::IdPair> pair = scheduler.NextPair();
+        if (!pair.has_value()) {
+          exhausted = true;
+          break;
+        }
+        ++scheduled;
+        if (pair->low == pair->high ||
+            !collection.Comparable(pair->low, pair->high) ||
+            !executed.insert(*pair).second) {
+          ++skipped;  // Self-pair, incomparable, or already evaluated.
+          continue;
+        }
+        WEBER_DCHECK_LT(pair->low, pair->high)
+            << "scheduler emitted an unnormalised pair";
+        batch.push_back(*pair);
+      }
+      if (!batch.empty()) score_and_commit(batch, /*whole_slice=*/false);
     }
   }
   WEBER_DCHECK_LE(result.comparisons, budget)

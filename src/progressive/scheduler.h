@@ -43,6 +43,18 @@ class PairScheduler {
   /// runner stays strictly serial: NextPair, score, OnResult, repeat.
   virtual bool AdaptsToFeedback() const { return false; }
 
+  /// The whole schedule at once, when the scheduler declares it distinct:
+  /// static, and every pair normalised (low < high), comparable under the
+  /// collection, and listed once. RunProgressive then scores the list's
+  /// budgeted prefix as one slice, with no dedup set and no NextPair call
+  /// (OnResult still sees every verdict); it reads the list without
+  /// popping it, so such a schedule serves one run. Only debug and
+  /// WEBER_HARDENED builds check the declaration. Default: null, so the
+  /// runner pops, screens and deduplicates pair by pair.
+  virtual const std::vector<model::IdPair>* DistinctList() const {
+    return nullptr;
+  }
+
   virtual std::string name() const = 0;
 };
 
@@ -55,9 +67,22 @@ class StaticListScheduler : public PairScheduler {
                                std::string label = "StaticList")
       : pairs_(std::move(pairs)), label_(std::move(label)) {}
 
+  /// A static schedule over `pairs` declared distinct (see DistinctList),
+  /// such as BlockCollection::CandidatePairs() or MetaBlock() output.
+  static StaticListScheduler FromDistinct(std::vector<model::IdPair> pairs,
+                                          std::string label = "StaticList") {
+    StaticListScheduler scheduler(std::move(pairs), std::move(label));
+    scheduler.distinct_ = true;
+    return scheduler;
+  }
+
   std::optional<model::IdPair> NextPair() override {
     if (next_ >= pairs_.size()) return std::nullopt;
     return pairs_[next_++];
+  }
+
+  const std::vector<model::IdPair>* DistinctList() const override {
+    return distinct_ ? &pairs_ : nullptr;
   }
 
   std::string name() const override { return label_; }
@@ -66,6 +91,7 @@ class StaticListScheduler : public PairScheduler {
   std::vector<model::IdPair> pairs_;
   size_t next_ = 0;
   std::string label_;
+  bool distinct_ = false;
 };
 
 /// Outcome of a budgeted progressive run.
@@ -84,7 +110,12 @@ struct ProgressiveRunResult {
 /// Executes the progressive loop: pop a pair from the scheduler, evaluate
 /// the matcher, feed the verdict back, until `budget` comparisons have run
 /// or the schedule is exhausted. Pairs are deduplicated (a pair handed out
-/// twice is only evaluated once). The curve records *true* matches (per
+/// twice is only evaluated once), and self or incomparable pairs are
+/// skipped without spending budget — except in a declared-distinct list
+/// (PairScheduler::DistinctList), which must hold no such pairs and is
+/// checked only in debug and WEBER_HARDENED builds. Either way verdicts
+/// are committed in schedule order, so a run is byte-identical for any
+/// parallelism. The curve records *true* matches (per
 /// `truth`) so that recall-vs-budget is directly comparable across
 /// schedulers.
 /// `prepared`, when non-null, scores pairs over interned signatures

@@ -274,7 +274,9 @@ Status RestoreArena(const ParsedImage& image, uint32_t kind,
                                          count, image.mapping);
   } else {
     std::vector<T> owned(count);
-    std::memcpy(owned.data(), data, section->size);
+    // An empty vector's data() may be null, and memcpy to null is UB even
+    // for zero bytes.
+    if (count > 0) std::memcpy(owned.data(), data, section->size);
     arena->Assign(std::move(owned));
   }
   return Status::Ok();

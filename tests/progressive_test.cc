@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 
 #include "blocking/token_blocking.h"
+#include "core/executor.h"
 #include "datagen/corpus_generator.h"
 #include "matching/matcher.h"
+#include "matching/signatures.h"
+#include "obs/metrics.h"
 #include "progressive/benefit_cost.h"
 #include "progressive/ordered_blocks.h"
 #include "progressive/partition_hierarchy.h"
@@ -78,6 +83,146 @@ TEST(RunProgressiveTest, ReportedMatchesAreMatcherPositives) {
   ASSERT_EQ(result.reported.size(), 1u);
   EXPECT_EQ(result.reported[0], model::IdPair::Of(0, 1));
 }
+
+// ---------------------------------------------------------------------------
+// Declared-distinct schedules (StaticListScheduler::FromDistinct)
+// ---------------------------------------------------------------------------
+
+TEST(StaticListSchedulerTest, OnlyFromDistinctDeclaresItsList) {
+  std::vector<model::IdPair> pairs = {model::IdPair::Of(0, 1),
+                                      model::IdPair::Of(2, 3)};
+  EXPECT_EQ(StaticListScheduler(pairs).DistinctList(), nullptr);
+  StaticListScheduler declared = StaticListScheduler::FromDistinct(pairs);
+  ASSERT_NE(declared.DistinctList(), nullptr);
+  EXPECT_EQ(*declared.DistinctList(), pairs);
+  EXPECT_EQ(declared.NextPair(), model::IdPair::Of(0, 1));
+}
+
+// Everything a run reports that the two runner paths must agree on.
+struct RunOutcome {
+  uint64_t comparisons = 0;
+  std::vector<model::IdPair> reported;
+  std::vector<uint64_t> cumulative;
+  double auc = 0.0;
+  std::vector<uint64_t> counters;
+
+  friend bool operator==(const RunOutcome&, const RunOutcome&) = default;
+};
+
+RunOutcome RunAndObserve(const model::EntityCollection& collection,
+                         PairScheduler& scheduler,
+                         const matching::ThresholdMatcher& matcher,
+                         uint64_t budget, const model::GroundTruth& truth,
+                         const matching::PreparedMatcher* prepared) {
+  obs::MetricsRegistry registry;
+  obs::ScopedRegistry attach(&registry);
+  ProgressiveRunResult run = RunProgressive(collection, scheduler, matcher,
+                                            budget, truth, prepared);
+  RunOutcome outcome;
+  outcome.comparisons = run.comparisons;
+  outcome.reported = std::move(run.reported);
+  outcome.cumulative = run.curve.CumulativeMatches();
+  outcome.auc = run.curve.AreaUnderCurve();
+  for (const char* name :
+       {"weber.progressive.scheduled_pairs", "weber.progressive.skipped_pairs",
+        "weber.progressive.comparisons", "weber.progressive.matches"}) {
+    outcome.counters.push_back(registry.GetCounter(name).Value());
+  }
+  return outcome;
+}
+
+// A random list of distinct comparable pairs, in random order.
+std::vector<model::IdPair> RandomDistinctPairs(
+    const model::EntityCollection& collection, std::mt19937_64& rng) {
+  std::vector<model::IdPair> all;
+  for (model::EntityId a = 0; a < collection.size(); ++a) {
+    for (model::EntityId b = a + 1; b < collection.size(); ++b) {
+      if (collection.Comparable(a, b)) all.push_back({a, b});
+    }
+  }
+  std::shuffle(all.begin(), all.end(), rng);
+  all.resize(std::uniform_int_distribution<size_t>(1, all.size())(rng));
+  return all;
+}
+
+TEST(DistinctListProperty, SliceRunEqualsScreenedRun) {
+  datagen::CorpusConfig config;
+  config.num_entities = 40;
+  config.duplicate_fraction = 0.5;
+  matching::TokenJaccardMatcher jaccard;
+  matching::ThresholdMatcher matcher(&jaccard, 0.5);
+  for (bool clean_clean : {false, true}) {
+    for (uint64_t seed : {1u, 2u}) {
+      config.seed = seed;
+      datagen::CorpusGenerator generator(config);
+      datagen::Corpus corpus = clean_clean ? generator.GenerateCleanClean()
+                                           : generator.GenerateDirty();
+      const model::EntityCollection& c = corpus.collection;
+      matching::SignatureStore store = matching::SignatureStore::Build(
+          c, matching::OptionsFor(jaccard));
+      std::unique_ptr<matching::PreparedMatcher> prepared =
+          matching::Prepare(jaccard, store);
+      ASSERT_NE(prepared, nullptr);
+      std::mt19937_64 rng(seed);
+      std::vector<model::IdPair> list = RandomDistinctPairs(c, rng);
+      const uint64_t n = list.size();
+      for (uint64_t budget : {uint64_t{0}, uint64_t{1}, n / 2, n, n + 5}) {
+        for (size_t parallelism : {1u, 2u, 4u, 8u}) {
+          core::ScopedParallelism scoped(parallelism);
+          const matching::PreparedMatcher* engines[] = {nullptr,
+                                                        prepared.get()};
+          for (const matching::PreparedMatcher* engine : engines) {
+            SCOPED_TRACE(::testing::Message()
+                         << "clean_clean=" << clean_clean << " seed=" << seed
+                         << " n=" << n << " budget=" << budget
+                         << " parallelism=" << parallelism
+                         << " prepared=" << (engine != nullptr));
+            StaticListScheduler screened(list);
+            StaticListScheduler declared =
+                StaticListScheduler::FromDistinct(list);
+            RunOutcome expected =
+                RunAndObserve(c, screened, matcher, budget, corpus.truth,
+                              engine);
+            RunOutcome actual = RunAndObserve(c, declared, matcher, budget,
+                                              corpus.truth, engine);
+            EXPECT_EQ(actual.comparisons, std::min(budget, n));
+            EXPECT_TRUE(actual == expected);
+          }
+        }
+      }
+    }
+  }
+}
+
+#if WEBER_DCHECK_IS_ON()
+TEST(DistinctListDeathTest, DuplicateSelfOrIncomparablePairFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  model::GroundTruth truth;
+  model::EntityCollection dirty = TinyDirty(&truth);
+  model::GroundTruth clean_truth;
+  model::EntityCollection clean =
+      ::weber::testing::TinyCleanClean(&clean_truth);
+  matching::TokenJaccardMatcher matcher;
+  auto run = [&](const model::EntityCollection& c,
+                 const model::GroundTruth& t,
+                 std::vector<model::IdPair> pairs) {
+    StaticListScheduler scheduler =
+        StaticListScheduler::FromDistinct(std::move(pairs));
+    RunProgressive(c, scheduler, {&matcher, 0.4}, 100, t);
+  };
+  EXPECT_DEATH(run(dirty, truth,
+                   {model::IdPair::Of(0, 1), model::IdPair::Of(2, 3),
+                    model::IdPair::Of(0, 1)}),
+               "\\(0, 1\\)");
+  EXPECT_DEATH(run(dirty, truth, {model::IdPair{2, 2}}),
+               "\\(2, 2\\)");
+  EXPECT_DEATH(run(dirty, truth, {model::IdPair{3, 1}}),
+               "\\(3, 1\\)");
+  // Entities 0 and 1 come from the same source.
+  EXPECT_DEATH(run(clean, clean_truth, {model::IdPair::Of(0, 1)}),
+               "incomparable pair");
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Progressive sorted neighbourhood
