@@ -156,8 +156,8 @@ BENCHMARK(BM_ExecutorBatchedMatching)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // The same candidates scored with the prepared Jaccard, through the
 // screened batch loop (declared = 0) or declared distinct and scored as
-// one slice (declared = 1). The slice does not go through ParallelFor, so
-// the row reports wall-clock time only, no balance.
+// one slice (declared = 1). Wall-clock time only: the balance gauge reads
+// the last ParallelFor, which for the batch loop is one small batch.
 void BM_ExecutorDistinctMatching(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   bool declared = state.range(1) != 0;

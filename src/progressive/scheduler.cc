@@ -47,12 +47,9 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
   // The one scoring body of both paths: scores `pairs` concurrently, then
   // commits the verdicts serially in schedule order, so budget accounting,
   // the curve, and OnResult feedback are byte-identical to a serial run.
-  // A whole slice is cut into 8 chunks per worker so that stealing evens
-  // out uneven pair costs; a batch goes through ParallelFor.
-  auto score_and_commit = [&](std::span<const model::IdPair> pairs,
-                              bool whole_slice) {
+  auto score_and_commit = [&](std::span<const model::IdPair> pairs) {
     verdicts.assign(pairs.size(), 0);
-    auto score = [&](size_t i) {
+    core::Executor::Shared().ParallelFor(pairs.size(), [&](size_t i) {
       const model::IdPair& pair = pairs[i];
       bool matched = prepared != nullptr
                          ? prepared->Matches(pair.low, pair.high,
@@ -60,19 +57,7 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
                          : matcher.Matches(collection[pair.low],
                                            collection[pair.high]);
       verdicts[i] = matched ? 1 : 0;
-    };
-    const size_t parallelism = core::EffectiveParallelism();
-    if (pairs.size() == 1 || parallelism == 1) {
-      for (size_t i = 0; i < pairs.size(); ++i) score(i);
-    } else if (whole_slice) {
-      core::Executor::Shared().ParallelChunks(
-          pairs.size(), 8 * parallelism,
-          [&score](size_t, size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) score(i);
-          });
-    } else {
-      core::Executor::Shared().ParallelFor(pairs.size(), score);
-    }
+    });
     for (size_t i = 0; i < pairs.size(); ++i) {
       const model::IdPair& pair = pairs[i];
       bool matched = verdicts[i] != 0;
@@ -92,7 +77,7 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
     const size_t n =
         static_cast<size_t>(std::min<uint64_t>(list->size(), budget));
     scheduled = n;
-    score_and_commit(std::span(list->data(), n), /*whole_slice=*/true);
+    score_and_commit(std::span(list->data(), n));
   } else {
     model::IdPairSet executed;
     // An adaptive scheduler must see each verdict before handing out the
@@ -128,7 +113,7 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
             << "scheduler emitted an unnormalised pair";
         batch.push_back(*pair);
       }
-      if (!batch.empty()) score_and_commit(batch, /*whole_slice=*/false);
+      if (!batch.empty()) score_and_commit(batch);
     }
   }
   WEBER_DCHECK_LE(result.comparisons, budget)
