@@ -432,6 +432,53 @@ TEST(IncrementalResolverTest, PublishesIncrementalMetrics) {
 // Replay equivalence (property test)
 // ---------------------------------------------------------------------------
 
+// Figures recorded from the hash-set token index this resolver shipped
+// with before its dedup moved to a stamp set: FNV-1a over the match edges
+// in commit order, and the comparison count, for a ~2k-entity stream with
+// removes interleaved.
+TEST(IncrementalResolverTest, DigestPinnedToParent) {
+  struct Pin {
+    size_t max_block_size;
+    size_t batch;
+    uint64_t matches_fnv;
+    uint64_t comparisons;
+  };
+  constexpr Pin kPins[] = {
+      {0, 7, 5877024382089887430u, 1515242},
+      {0, 64, 11349272310465954673u, 1585621},
+      {64, 7, 15881070422922061670u, 201340},
+      {64, 64, 9832138066882537505u, 201852},
+  };
+  const std::vector<model::EntityDescription> stream =
+      ::weber::testing::DirtyStream(42, 1200);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE("cap=" + std::to_string(pin.max_block_size) +
+                 " batch=" + std::to_string(pin.batch));
+    matching::TokenJaccardMatcher matcher;
+    ResolverOptions options;
+    options.index.max_block_size = pin.max_block_size;
+    IncrementalResolver resolver(&matcher, options);
+    size_t batch_index = 0;
+    for (size_t i = 0; i < stream.size(); i += pin.batch, ++batch_index) {
+      size_t end = std::min(i + pin.batch, stream.size());
+      resolver.Ingest(std::vector<model::EntityDescription>(
+          stream.begin() + i, stream.begin() + end));
+      if (batch_index % 3 == 2) {
+        resolver.Remove(static_cast<model::EntityId>(
+            (batch_index * 7) % resolver.store().size()));
+      }
+    }
+    uint64_t fnv = 14695981039346656037ULL;
+    for (const model::IdPair& pair : resolver.matches()) {
+      for (uint32_t word : {pair.low, pair.high}) {
+        fnv = (fnv ^ word) * 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(fnv, pin.matches_fnv);
+    EXPECT_EQ(resolver.comparisons(), pin.comparisons);
+  }
+}
+
 TEST(IncrementalReplayTest, ShuffledStreamMatchesBatchPipeline) {
   datagen::CorpusConfig config;
   config.num_entities = 150;

@@ -238,6 +238,52 @@ TEST(ShardedResolverTest, StringPathMatchersStayDigestEqual) {
   }
 }
 
+// Figures recorded from the sort + hash-set mailbox merge this resolver
+// shipped with before phase E became a merge by position. Every other
+// digest oracle compares the current code with itself; this one pins the
+// resolved state of a ~2k-entity stream to those recorded values.
+struct PinnedRun {
+  size_t max_block_size;
+  size_t batch;
+  uint64_t digest;
+  uint64_t comparisons;
+};
+constexpr PinnedRun kPinnedRuns[] = {
+    {0, 7, 2852922796u, 1515242},
+    {0, 64, 2767424258u, 1585621},
+    {64, 7, 4105743718u, 201340},
+    {64, 64, 1373204255u, 201852},
+};
+
+TEST(ShardedResolverTest, DigestPinnedToParent) {
+  const std::vector<model::EntityDescription> stream =
+      testing::DirtyStream(42, 1200);
+  for (const PinnedRun& pin : kPinnedRuns) {
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("cap=" + std::to_string(pin.max_block_size) +
+                   " batch=" + std::to_string(pin.batch) +
+                   " shards=" + std::to_string(shards));
+      matching::TokenJaccardMatcher matcher;
+      ShardedResolverOptions options;
+      options.shards = shards;
+      options.index.max_block_size = pin.max_block_size;
+      ShardedResolver resolver(&matcher, options);
+      size_t batch_index = 0;
+      for (size_t i = 0; i < stream.size(); i += pin.batch, ++batch_index) {
+        size_t end = std::min(i + pin.batch, stream.size());
+        resolver.Ingest(std::vector<model::EntityDescription>(
+            stream.begin() + i, stream.begin() + end));
+        if (batch_index % 3 == 2) {
+          resolver.Remove(static_cast<model::EntityId>(
+              (batch_index * 7) % resolver.size()));
+        }
+      }
+      EXPECT_EQ(resolver.StateDigest(), pin.digest);
+      EXPECT_EQ(resolver.comparisons(), pin.comparisons);
+    }
+  }
+}
+
 TEST(ShardedResolverTest, ResolveRemoveAndIntrospection) {
   matching::TokenJaccardMatcher matcher;
   ShardedResolverOptions options;

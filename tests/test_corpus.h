@@ -1,11 +1,14 @@
 #ifndef WEBER_TESTS_TEST_CORPUS_H_
 #define WEBER_TESTS_TEST_CORPUS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "model/entity.h"
 #include "model/ground_truth.h"
+#include "util/random.h"
 
 namespace weber::testing {
 
@@ -68,6 +71,22 @@ inline model::EntityCollection TinyCleanClean(model::GroundTruth* truth) {
       model::EntityCollection::CleanClean(std::move(s1), std::move(s2));
   if (truth != nullptr) truth->AddMatch(0, 2);
   return collection;
+}
+
+/// bench::DirtyCorpus(seed, entities) as an ingest stream, shuffled with
+/// the portable util::Rng so duplicates span batches and the stream is the
+/// same on every standard library (digests pinned on it stay valid).
+inline std::vector<model::EntityDescription> DirtyStream(uint64_t seed,
+                                                         size_t entities) {
+  datagen::Corpus corpus = bench::DirtyCorpus(seed, entities);
+  std::vector<model::EntityDescription> stream;
+  stream.reserve(corpus.collection.size());
+  for (model::EntityId id = 0; id < corpus.collection.size(); ++id) {
+    stream.push_back(corpus.collection.at(id));
+  }
+  util::Rng rng(seed);
+  rng.Shuffle(stream);
+  return stream;
 }
 
 }  // namespace weber::testing
