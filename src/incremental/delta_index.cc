@@ -20,93 +20,80 @@ std::vector<std::string> IncrementalTokenIndex::TokensOf(
   return tokens;
 }
 
+template <typename Emit>
+void IncrementalTokenIndex::Post(model::EntityId id, const std::string& token,
+                                 bool emit_candidates, Emit&& emit) {
+  Posting& posting = postings_[token];
+  if (posting.purged) return;
+  ++stats_.updates;
+  // Lazy compaction: drop removed ids the next time a posting is touched,
+  // so memory tracks the live set without a global sweep — and only when
+  // an id was removed since this posting's last compaction.
+  if (posting.compacted_at != removed_.size()) {
+    std::erase_if(posting.entities, [this](model::EntityId e) {
+      return removed_.contains(e);
+    });
+    posting.compacted_at = removed_.size();
+  }
+  if (emit_candidates) {
+    for (model::EntityId other : posting.entities) {
+      WEBER_DCHECK_NE(other, id)
+          << "entity absorbed twice without Remove; would emit a self-pair";
+      if (seen_.Insert(other)) emit(other);
+    }
+  }
+  posting.entities.push_back(id);
+  if (options_.max_block_size != 0 &&
+      posting.entities.size() > options_.max_block_size) {
+    posting.purged = true;
+    posting.entities.clear();
+    posting.entities.shrink_to_fit();
+    ++stats_.purged_tokens;
+  }
+}
+
 void IncrementalTokenIndex::Absorb(model::EntityId id,
                                    const model::EntityDescription& description,
                                    std::vector<model::IdPair>* new_pairs) {
-  std::unordered_set<model::EntityId> paired;
-  for (std::string& token : TokensOf(description)) {
-    Posting& posting = postings_[std::move(token)];
-    if (posting.purged) continue;
-    ++stats_.updates;
-    // Lazy compaction: drop removed ids the next time a posting is
-    // touched, so memory tracks the live set without a global sweep.
-    if (!removed_.empty()) {
-      std::erase_if(posting.entities, [this](model::EntityId e) {
-        return removed_.contains(e);
-      });
-    }
-    if (new_pairs != nullptr) {
-      for (model::EntityId other : posting.entities) {
-        WEBER_DCHECK_NE(other, id)
-            << "entity absorbed twice without Remove; would emit a "
-            << "self-pair";
-        if (paired.insert(other).second) {
-          new_pairs->push_back(model::IdPair::Of(other, id));
-        }
-      }
-    }
-    posting.entities.push_back(id);
-    if (options_.max_block_size != 0 &&
-        posting.entities.size() > options_.max_block_size) {
-      posting.purged = true;
-      posting.entities.clear();
-      posting.entities.shrink_to_fit();
-      ++stats_.purged_tokens;
-    }
+  id_bound_ = std::max<size_t>(id_bound_, size_t{id} + 1);
+  seen_.Reset(id_bound_);
+  for (const std::string& token : TokensOf(description)) {
+    Post(id, token, new_pairs != nullptr, [&](model::EntityId other) {
+      new_pairs->push_back(model::IdPair::Of(other, id));
+    });
   }
   stats_.tokens = postings_.size();
 }
 
 void IncrementalTokenIndex::AbsorbTokens(
-    model::EntityId id,
-    const std::vector<std::pair<std::string, uint32_t>>& tokens,
+    model::EntityId id, const std::vector<std::string>& tokens,
+    std::span<const uint32_t> positions,
     std::vector<PositionedCandidate>* candidates) {
-  // Per-call dedup: tokens arrive in ascending position order and postings
-  // iterate in absorb (ascending-id) order, so first-insertion-wins keeps
-  // each other-id's minimal (position, posting-order) occurrence — the one
-  // the merged cross-index sort must surface.
-  std::unordered_set<model::EntityId> paired;
-  for (const auto& [token, position] : tokens) {
-    Posting& posting = postings_[token];
-    if (posting.purged) continue;
-    ++stats_.updates;
-    if (!removed_.empty()) {
-      std::erase_if(posting.entities, [this](model::EntityId e) {
-        return removed_.contains(e);
-      });
-    }
-    if (candidates != nullptr) {
-      for (model::EntityId other : posting.entities) {
-        WEBER_DCHECK_NE(other, id)
-            << "entity absorbed twice without Remove; would emit a "
-            << "self-pair";
-        if (paired.insert(other).second) {
-          candidates->push_back(PositionedCandidate{other, position});
-        }
-      }
-    }
-    posting.entities.push_back(id);
-    if (options_.max_block_size != 0 &&
-        posting.entities.size() > options_.max_block_size) {
-      posting.purged = true;
-      posting.entities.clear();
-      posting.entities.shrink_to_fit();
-      ++stats_.purged_tokens;
-    }
+  // Per-call dedup: positions ascend and postings iterate in absorb
+  // (ascending-id) order, so first-insertion-wins keeps each other-id's
+  // minimal (position, posting-order) occurrence — the one the merge
+  // across indexes must surface.
+  id_bound_ = std::max<size_t>(id_bound_, size_t{id} + 1);
+  seen_.Reset(id_bound_);
+  for (uint32_t position : positions) {
+    Post(id, tokens[position], candidates != nullptr,
+         [&](model::EntityId other) {
+           candidates->push_back(PositionedCandidate{other, position});
+         });
   }
   stats_.tokens = postings_.size();
 }
 
 void IncrementalTokenIndex::Query(
     const model::EntityDescription& description,
-    std::vector<model::EntityId>* candidates) const {
-  std::unordered_set<model::EntityId> seen;
+    std::vector<model::EntityId>* candidates) {
+  seen_.Reset(id_bound_);
   for (const std::string& token : TokensOf(description)) {
     auto it = postings_.find(token);
     if (it == postings_.end() || it->second.purged) continue;
     for (model::EntityId other : it->second.entities) {
       if (removed_.contains(other)) continue;
-      if (seen.insert(other).second) candidates->push_back(other);
+      if (seen_.Insert(other)) candidates->push_back(other);
     }
   }
 }

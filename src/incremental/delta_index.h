@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,6 +16,7 @@
 #include "model/entity.h"
 #include "model/ground_truth.h"
 #include "text/normalizer.h"
+#include "util/stamp_set.h"
 
 namespace weber::storage {
 class SnapshotCodec;
@@ -68,7 +70,7 @@ class IncrementalTokenIndex {
               std::vector<model::IdPair>* new_pairs);
 
   /// A candidate found through a shared token, tagged with the token's
-  /// position in the new entity's full token list. Sorting one entity's
+  /// position in the new entity's token list. Merging one entity's
   /// candidates from several token-partitioned indexes by (position,
   /// posting order) and keeping each other-id's first occurrence yields
   /// exactly the order Absorb emits from a single index.
@@ -77,29 +79,29 @@ class IncrementalTokenIndex {
     uint32_t position = 0;
   };
 
-  /// Token-partitioned absorb: indexes only `tokens` — the subset of the
-  /// entity's TokensOf list this index owns, each with its position in the
-  /// full list, in ascending position order. Emits PositionedCandidates
-  /// (deduplicated per call, first occurrence kept). Per-token behaviour
-  /// (lazy compaction, purging, stats) is identical to Absorb, so
-  /// splitting one entity's tokens across indexes by token and merging
-  /// the tagged candidates reproduces the single-index stream.
-  void AbsorbTokens(
-      model::EntityId id,
-      const std::vector<std::pair<std::string, uint32_t>>& tokens,
-      std::vector<PositionedCandidate>* candidates);
+  /// Token-partitioned absorb: indexes only tokens[p] for each p in
+  /// `positions` (ascending) — the entity's tokens this index owns, out of
+  /// a list in TokensOf order that may also hold tokens it does not index.
+  /// Appends PositionedCandidates tagged with p (deduplicated per call,
+  /// first occurrence kept). Per-token behaviour (lazy compaction,
+  /// purging, stats) is identical to Absorb, so splitting one entity's
+  /// tokens across indexes by token and merging the tagged candidates
+  /// reproduces the single-index stream.
+  void AbsorbTokens(model::EntityId id, const std::vector<std::string>& tokens,
+                    std::span<const uint32_t> positions,
+                    std::vector<PositionedCandidate>* candidates);
 
   /// The normalised, length-filtered value tokens Absorb indexes, in
-  /// emission order — public so token-partitioned callers compute the
-  /// exact token/position lists AbsorbTokens expects.
+  /// emission order.
   std::vector<std::string> TokensOf(
       const model::EntityDescription& description) const;
 
-  /// Read-only probe: the distinct indexed entities sharing at least one
-  /// token with `description`, in first-shared-token order. Used to
-  /// re-block merged representatives without inserting them.
+  /// Probe: the distinct indexed entities sharing at least one token with
+  /// `description`, in first-shared-token order. Leaves the postings
+  /// untouched (it only uses the index's dedup scratch). Used to re-block
+  /// merged representatives without inserting them.
   void Query(const model::EntityDescription& description,
-             std::vector<model::EntityId>* candidates) const;
+             std::vector<model::EntityId>* candidates);
 
   /// Drops an entity from the index: it stops appearing in emitted pairs,
   /// queries and exported blocks. Postings are compacted lazily as they
@@ -120,11 +122,27 @@ class IncrementalTokenIndex {
   struct Posting {
     std::vector<model::EntityId> entities;  // Ascending (absorb order).
     bool purged = false;
+    // removed_.size() when `entities` was last compacted: removed_ only
+    // grows, so an unchanged size means no id here was removed since.
+    size_t compacted_at = 0;
   };
+
+  /// Posts `id` under `token` and passes every not-yet-seen entity already
+  /// posted there to `emit` (when `emit_candidates`).
+  template <typename Emit>
+  void Post(model::EntityId id, const std::string& token, bool emit_candidates,
+            Emit&& emit);
 
   blocking::TokenBlockingOptions options_;
   std::unordered_map<std::string, Posting> postings_;
+  // Tombstones read by compaction, ToBlocks and Query: state, not a
+  // per-entity dedup.
+  // lint: allow(hot-path-dedup) tombstone set, not candidate dedup
   std::unordered_set<model::EntityId> removed_;
+  // Per-entity candidate dedup of Absorb, AbsorbTokens and Query.
+  util::StampSet seen_;
+  // One past the largest id absorbed: the bound of every posted id.
+  size_t id_bound_ = 0;
   DeltaIndexStats stats_;
 };
 

@@ -160,11 +160,7 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
               : matcher_.Matches(store_.at(pair.low), store_.at(pair.high));
       verdicts[i] = matched ? 1 : 0;
     };
-    if (candidates.size() == 1) {
-      score(0);
-    } else {
-      core::Executor::Shared().ParallelFor(candidates.size(), score);
-    }
+    core::Executor::Shared().ParallelFor(candidates.size(), score);
     for (size_t i = 0; i < candidates.size(); ++i) {
       bool matched = verdicts[i] != 0;
       ++comparisons_;

@@ -41,6 +41,40 @@ size_t ShardedResolver::ShardOf(model::EntityId id, size_t shards) {
   return mapreduce::MixFingerprint(id) % shards;
 }
 
+void MergeMail(const std::vector<TokenShardMail>& mailboxes,
+               const std::vector<std::span<const uint8_t>>& token_owners,
+               model::EntityId first_gid, util::StampSet* seen,
+               std::vector<model::IdPair>* candidates) {
+  size_t total = 0;
+  for (const TokenShardMail& box : mailboxes) total += box.mail.size();
+  candidates->reserve(candidates->size() + total);
+  const size_t bound = first_gid + token_owners.size();
+  // cursor[t]: the first unmerged mail of shard t. Entity k's runs are
+  // merged completely before entity k + 1's, so the cursor always sits
+  // inside (or at the end of) entity k's run.
+  std::vector<size_t> cursor(mailboxes.size(), 0);
+  for (size_t k = 0; k < token_owners.size(); ++k) {
+    const auto gid = static_cast<model::EntityId>(first_gid + k);
+    std::span<const uint8_t> owner = token_owners[k];
+    seen->Reset(bound);
+    for (uint32_t pos = 0; pos < owner.size(); ++pos) {
+      if (owner[pos] == kUnindexedToken) continue;
+      const TokenShardMail& box = mailboxes[owner[pos]];
+      size_t& c = cursor[owner[pos]];
+      for (; c < box.ends[k] && box.mail[c].position == pos; ++c) {
+        model::EntityId other = box.mail[c].other;
+        if (seen->Insert(other)) {
+          candidates->push_back(model::IdPair::Of(other, gid));
+        }
+      }
+    }
+  }
+  for (size_t t = 0; t < mailboxes.size(); ++t) {
+    WEBER_DCHECK_EQ(cursor[t], mailboxes[t].mail.size())
+        << "token shard " << t << " mailed a run out of position order";
+  }
+}
+
 ShardedResolver::ShardedResolver(const matching::Matcher* matcher,
                                  ShardedResolverOptions options)
     : matcher_(matcher, options.match_threshold),
@@ -131,8 +165,9 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   core::Executor& executor = core::Executor::Shared();
   const bool prepared = cross_ != nullptr;
 
-  // Phase A — parallel per entity: tokenise for blocking (with the owning
-  // token shard of every token), tokenise + vectorise for signatures, and
+  // Phase A — parallel per entity: tokenise once (when the index and
+  // signature normalisations agree, one distinct-token list serves both),
+  // name each token's owning token shard, vectorise for signatures, and
   // resolve what the shared vocabulary already knows.
   struct PrepAttr {
     bool present = false;
@@ -141,33 +176,43 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
     std::vector<uint32_t> ids;
   };
   struct Prep {
-    std::vector<std::pair<std::string, uint32_t>> block_tokens;
+    // The index's token list (TokensOf order) before its length filter;
+    // filtered tokens stay in place with owner kUnindexedToken.
+    std::vector<std::string> tokens;
     std::vector<uint8_t> token_owner;
-    std::vector<std::string> sig_tokens;
+    // The signature tokens when the normalisations differ (else `tokens`).
+    std::vector<std::string> own_sig_tokens;
     std::vector<uint32_t> sig_ids;
     text::TfIdfVector tfidf;
     std::vector<PrepAttr> attrs;
+  };
+  const bool shared_tokens =
+      signature_options_.normalize == options_.index.normalize;
+  auto sig_tokens_of = [&](const Prep& prep) -> const std::vector<std::string>& {
+    return shared_tokens ? prep.tokens : prep.own_sig_tokens;
   };
   std::vector<Prep> preps(n);
   auto prepare = [&](size_t i) {
     Prep& prep = preps[i];
     const model::EntityDescription& description = batch[i];
-    std::vector<std::string> tokens =
-        token_shards_.front().TokensOf(description);
-    prep.block_tokens.reserve(tokens.size());
-    prep.token_owner.reserve(tokens.size());
-    for (size_t pos = 0; pos < tokens.size(); ++pos) {
-      prep.token_owner.push_back(
-          static_cast<uint8_t>(TokenShardOf(tokens[pos], num_shards)));
-      prep.block_tokens.emplace_back(std::move(tokens[pos]),
-                                     static_cast<uint32_t>(pos));
+    prep.tokens = text::ValueTokens(description, options_.index.normalize);
+    prep.token_owner.resize(prep.tokens.size());
+    for (size_t pos = 0; pos < prep.tokens.size(); ++pos) {
+      // TokensOf's length filter, applied in place.
+      prep.token_owner[pos] =
+          prep.tokens[pos].size() < options_.index.min_token_length
+              ? kUnindexedToken
+              : static_cast<uint8_t>(TokenShardOf(prep.tokens[pos], num_shards));
     }
     if (!prepared) return;
-    prep.sig_tokens =
-        text::ValueTokens(description, signature_options_.normalize);
-    prep.sig_ids.resize(prep.sig_tokens.size());
-    for (size_t j = 0; j < prep.sig_tokens.size(); ++j) {
-      prep.sig_ids[j] = vocabulary_.Lookup(prep.sig_tokens[j]);
+    if (!shared_tokens) {
+      prep.own_sig_tokens =
+          text::ValueTokens(description, signature_options_.normalize);
+    }
+    const std::vector<std::string>& sig_tokens = sig_tokens_of(prep);
+    prep.sig_ids.resize(sig_tokens.size());
+    for (size_t j = 0; j < sig_tokens.size(); ++j) {
+      prep.sig_ids[j] = vocabulary_.Lookup(sig_tokens[j]);
     }
     if (signature_options_.tfidf_model != nullptr) {
       prep.tfidf = signature_options_.tfidf_model->Vectorize(description);
@@ -187,11 +232,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
       }
     }
   };
-  if (n == 1) {
-    prepare(0);
-  } else {
-    executor.ParallelFor(n, prepare);
-  }
+  executor.ParallelFor(n, prepare);
 
   // Phase B — serial: intern the batch's unknown tokens in (entity,
   // position) order. Deterministic and shard-count independent; the exact
@@ -199,9 +240,10 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   // intersections, invariant under any injective renaming).
   if (prepared) {
     for (Prep& prep : preps) {
+      const std::vector<std::string>& sig_tokens = sig_tokens_of(prep);
       for (size_t j = 0; j < prep.sig_ids.size(); ++j) {
         if (prep.sig_ids[j] == SharedVocabulary::kUnknown) {
-          prep.sig_ids[j] = vocabulary_.Intern(prep.sig_tokens[j]);
+          prep.sig_ids[j] = vocabulary_.Intern(sig_tokens[j]);
         }
       }
       for (PrepAttr& attr : prep.attrs) {
@@ -274,61 +316,39 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   executor.ParallelChunks(num_shards, num_shards, absorb_entities);
 
   // Phase D — parallel per token shard: positioned absorb of each
-  // entity's owned tokens, mailing candidates tagged with (batch index,
-  // token position); posting order within one tag is ascending id.
-  std::vector<std::vector<Mail>> mailboxes(num_shards);
+  // entity's owned tokens (passed as positions into its token list),
+  // mailing candidates tagged with the token position; one entity's run
+  // ascends in (position, posting order).
+  std::vector<TokenShardMail> mailboxes(num_shards);
   auto absorb_tokens = [&](size_t, size_t begin, size_t end) {
+    std::vector<uint32_t> owned;
     for (size_t t = begin; t < end; ++t) {
-      std::vector<Mail>& mails = mailboxes[t];
-      std::vector<std::pair<std::string, uint32_t>> owned;
-      std::vector<incremental::IncrementalTokenIndex::PositionedCandidate>
-          found;
+      TokenShardMail& box = mailboxes[t];
+      box.ends.resize(n);
       for (size_t i = 0; i < n; ++i) {
         const Prep& prep = preps[i];
         owned.clear();
-        for (size_t j = 0; j < prep.block_tokens.size(); ++j) {
-          if (prep.token_owner[j] == t) owned.push_back(prep.block_tokens[j]);
+        for (size_t pos = 0; pos < prep.token_owner.size(); ++pos) {
+          if (prep.token_owner[pos] == t) {
+            owned.push_back(static_cast<uint32_t>(pos));
+          }
         }
-        if (owned.empty()) continue;
-        found.clear();
-        token_shards_[t].AbsorbTokens(gids[i], owned, &found);
-        for (const auto& candidate : found) {
-          mails.push_back(Mail{static_cast<uint32_t>(i), candidate.position,
-                               candidate.other});
+        if (!owned.empty()) {
+          token_shards_[t].AbsorbTokens(gids[i], prep.tokens, owned,
+                                        &box.mail);
         }
+        box.ends[i] = box.mail.size();
       }
     }
   };
   executor.ParallelChunks(num_shards, num_shards, absorb_tokens);
 
-  // Phase E — serial mailbox merge: sorting by (batch index, position,
-  // posting order) and keeping each pair's first occurrence reproduces
-  // the single-index emission order exactly (see serve_test's digest
-  // matrix for the proof by witness).
-  size_t total_mail = 0;
-  for (const auto& mails : mailboxes) total_mail += mails.size();
-  std::vector<Mail> mail;
-  mail.reserve(total_mail);
-  for (auto& mails : mailboxes) {
-    mail.insert(mail.end(), mails.begin(), mails.end());
-  }
-  std::sort(mail.begin(), mail.end(), [](const Mail& a, const Mail& b) {
-    if (a.batch_index != b.batch_index) return a.batch_index < b.batch_index;
-    if (a.position != b.position) return a.position < b.position;
-    return a.other < b.other;
-  });
+  // Phase E — serial merge of the token shards' runs by position, which
+  // reproduces the single-index emission order exactly.
+  std::vector<std::span<const uint8_t>> token_owners(n);
+  for (size_t i = 0; i < n; ++i) token_owners[i] = preps[i].token_owner;
   std::vector<model::IdPair> candidates;
-  std::unordered_set<model::EntityId> paired;
-  uint32_t current_index = UINT32_MAX;
-  for (const Mail& m : mail) {
-    if (m.batch_index != current_index) {
-      current_index = m.batch_index;
-      paired.clear();
-    }
-    if (paired.insert(m.other).second) {
-      candidates.push_back(model::IdPair::Of(m.other, gids[m.batch_index]));
-    }
-  }
+  MergeMail(mailboxes, token_owners, first_gid, &seen_, &candidates);
   candidates_ += candidates.size();
 
   // Phase F — parallel scoring on immutable state (the prepared twin over
@@ -353,11 +373,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
       }
       verdicts[i] = matched ? 1 : 0;
     };
-    if (candidates.size() == 1) {
-      score(0);
-    } else {
-      executor.ParallelFor(candidates.size(), score);
-    }
+    executor.ParallelFor(candidates.size(), score);
     for (size_t i = 0; i < candidates.size(); ++i) {
       bool matched = verdicts[i] != 0;
       ++comparisons_;

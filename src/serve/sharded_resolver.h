@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "blocking/token_blocking.h"
@@ -23,6 +23,7 @@
 #include "storage/options.h"
 #include "storage/status.h"
 #include "storage/wal.h"
+#include "util/stamp_set.h"
 
 namespace weber::obs {
 class MetricsRegistry;
@@ -64,6 +65,30 @@ struct ShardedResolverOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// Owner of a token the index's length filter drops (no token shard).
+inline constexpr uint8_t kUnindexedToken = UINT8_MAX;
+
+/// One token shard's phase-D output for an ingest batch: every batch
+/// entity's candidates in batch order, entity k's run ending at ends[k]
+/// and ascending in (position, posting order) within it.
+struct TokenShardMail {
+  std::vector<incremental::IncrementalTokenIndex::PositionedCandidate> mail;
+  std::vector<size_t> ends;
+};
+
+/// Phase E of the batch protocol (public for its property test): for each
+/// batch entity k (global id first_gid + k), walks its token positions in
+/// order — token_owners[k][p] names the token shard owning position p, or
+/// kUnindexedToken — and drains that shard's mail at p, appending each
+/// other-id's first occurrence as IdPair(other, first_gid + k). A position
+/// belongs to one shard and each run ascends by position, so this is the
+/// (position, posting order) merge of the shards' runs with no sort and
+/// no hash set: it reproduces the single-index emission order exactly.
+void MergeMail(const std::vector<TokenShardMail>& mailboxes,
+               const std::vector<std::span<const uint8_t>>& token_owners,
+               model::EntityId first_gid, util::StampSet* seen,
+               std::vector<model::IdPair>* candidates);
+
 /// A hash-partitioned IncrementalResolver: the serving path split into N
 /// independent shards whose replay is bit-equal to the single-shard
 /// resolver for any shard count.
@@ -81,11 +106,13 @@ struct ShardedResolverOptions {
 ///      order into the shared vocabulary;
 ///   C  per entity shard: append store rows + WAL records, absorb the
 ///      pre-built signatures;
-///   D  per token shard: positioned index absorb, mailing each candidate
-///      tagged (batch index, shared-token position, posting order);
-///   E  serial: the cross-shard mailbox merge — sort the mail by that tag
-///      and keep each pair's first occurrence, which reproduces the
-///      single-index candidate emission order exactly;
+///   D  per token shard: positioned index absorb (the entity's owned
+///      tokens passed by position, not copied), mailing each candidate
+///      tagged with its shared-token position, one run per entity;
+///   E  serial: the cross-shard merge (MergeMail) — per entity, walk its
+///      token positions and drain the owning shard's run, keeping each
+///      other-id's first occurrence through a stamp set: no sort, no hash
+///      set, and exactly the single-index candidate emission order;
 ///   F  parallel: score candidates (cross-store prepared or string path);
 ///   G  serial: commit verdicts in candidate order into the global
 ///      union-find.
@@ -183,14 +210,6 @@ class ShardedResolver {
     storage::WriteAheadLog wal;
   };
 
-  /// One cross-shard candidate in flight from a token shard to the
-  /// mailbox merge.
-  struct Mail {
-    uint32_t batch_index = 0;  // Entity index within the ingest batch.
-    uint32_t position = 0;     // Shared-token position in its token list.
-    model::EntityId other = 0;
-  };
-
   obs::MetricsRegistry* Registry() const;
   std::vector<model::EntityId> IngestLocked(
       std::vector<model::EntityDescription> batch, bool log);
@@ -218,6 +237,8 @@ class ShardedResolver {
   std::vector<uint32_t> row_of_;
 
   incremental::ClusterState clusters_;
+  // Phase E's per-entity candidate dedup.
+  util::StampSet seen_;
   ComparisonObserver observer_;
   uint64_t comparisons_ = 0;
   uint64_t candidates_ = 0;

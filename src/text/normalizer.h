@@ -14,6 +14,8 @@ struct NormalizeOptions {
   bool strip_punctuation = true;
   /// Collapse runs of whitespace into a single space and trim the ends.
   bool collapse_whitespace = true;
+
+  bool operator==(const NormalizeOptions&) const = default;
 };
 
 /// Returns the normalised form of the input under the given options.

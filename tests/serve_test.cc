@@ -17,6 +17,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/executor.h"
@@ -31,6 +32,8 @@
 #include "serve/service.h"
 #include "serve/sharded_resolver.h"
 #include "tests/test_corpus.h"
+#include "text/tokenizer.h"
+#include "util/random.h"
 
 namespace weber::serve {
 namespace {
@@ -281,6 +284,158 @@ TEST(ShardedResolverTest, DigestPinnedToParent) {
       EXPECT_EQ(resolver.StateDigest(), pin.digest);
       EXPECT_EQ(resolver.comparisons(), pin.comparisons);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Phase E: the merge by position against the sort + hash-set reference.
+
+/// The phase-E merge as the resolver first shipped it, kept as the oracle:
+/// flatten every shard's mail tagged with its batch index, sort by (batch
+/// index, position, other) and keep each pair's first occurrence per batch
+/// entity through a hash set.
+std::vector<model::IdPair> ReferenceMergeMail(
+    const std::vector<TokenShardMail>& mailboxes, model::EntityId first_gid,
+    size_t batch_size) {
+  struct Mail {
+    uint32_t batch_index;
+    uint32_t position;
+    model::EntityId other;
+  };
+  std::vector<Mail> mail;
+  for (const TokenShardMail& box : mailboxes) {
+    size_t begin = 0;
+    for (size_t k = 0; k < batch_size; ++k) {
+      for (size_t c = begin; c < box.ends[k]; ++c) {
+        mail.push_back(Mail{static_cast<uint32_t>(k), box.mail[c].position,
+                            box.mail[c].other});
+      }
+      begin = box.ends[k];
+    }
+  }
+  std::sort(mail.begin(), mail.end(), [](const Mail& a, const Mail& b) {
+    if (a.batch_index != b.batch_index) return a.batch_index < b.batch_index;
+    if (a.position != b.position) return a.position < b.position;
+    return a.other < b.other;
+  });
+  std::vector<model::IdPair> candidates;
+  std::unordered_set<model::EntityId> paired;
+  uint32_t current_index = UINT32_MAX;
+  for (const Mail& m : mail) {
+    if (m.batch_index != current_index) {
+      current_index = m.batch_index;
+      paired.clear();
+    }
+    if (paired.insert(m.other).second) {
+      candidates.push_back(
+          model::IdPair::Of(m.other, first_gid + m.batch_index));
+    }
+  }
+  return candidates;
+}
+
+/// A random description over a small skewed vocabulary of 1-4 letter
+/// tokens, so tokens collide often, postings reach small caps and the
+/// length filter has work.
+model::EntityDescription RandomDescription(util::Rng* rng, size_t serial) {
+  model::EntityDescription d("u/" + std::to_string(serial), "thing");
+  size_t values = 1 + rng->NextBounded(4);
+  for (size_t v = 0; v < values; ++v) {
+    std::string value;
+    size_t words = 1 + rng->NextBounded(4);
+    for (size_t w = 0; w < words; ++w) {
+      size_t token = rng->NextZipf(60, 1.1);
+      value += std::string(1 + token % 4, static_cast<char>('a' + token % 26));
+      value += ' ';
+    }
+    d.AddPair("attr" + std::to_string(v), value);
+  }
+  return d;
+}
+
+TEST(MergeMailTest, EqualsSortReferenceAndSingleIndexOnRandomStreams) {
+  struct Case {
+    size_t shards;
+    size_t max_block_size;
+    size_t min_token_length;
+    size_t batch;
+  };
+  std::vector<Case> cases;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    for (size_t cap : {size_t{0}, size_t{6}, size_t{64}}) {
+      for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+        cases.push_back(Case{shards, cap, 1 + (shards + cap) % 2, batch});
+      }
+    }
+  }
+  uint64_t seed = 0;
+  for (const Case& c : cases) {
+    ++seed;
+    SCOPED_TRACE("shards=" + std::to_string(c.shards) +
+                 " cap=" + std::to_string(c.max_block_size) +
+                 " min_len=" + std::to_string(c.min_token_length) +
+                 " batch=" + std::to_string(c.batch));
+    blocking::TokenBlockingOptions options;
+    options.max_block_size = c.max_block_size;
+    options.min_token_length = c.min_token_length;
+    std::vector<incremental::IncrementalTokenIndex> token_shards(
+        c.shards, incremental::IncrementalTokenIndex(options));
+    incremental::IncrementalTokenIndex single(options);
+    util::StampSet seen;
+    util::Rng rng(seed);
+    model::EntityId next_gid = 0;
+    size_t merged = 0;
+    while (next_gid < 300) {
+      const model::EntityId first_gid = next_gid;
+      std::vector<model::EntityDescription> batch;
+      std::vector<std::vector<std::string>> tokens;
+      std::vector<std::vector<uint8_t>> owners;
+      for (size_t k = 0; k < c.batch; ++k) {
+        batch.push_back(RandomDescription(&rng, next_gid++));
+        tokens.push_back(text::ValueTokens(batch.back(), options.normalize));
+        std::vector<uint8_t> owner;
+        for (const std::string& token : tokens.back()) {
+          owner.push_back(
+              token.size() < c.min_token_length
+                  ? kUnindexedToken
+                  : static_cast<uint8_t>(std::hash<std::string>{}(token) %
+                                         c.shards));
+        }
+        owners.push_back(std::move(owner));
+      }
+      // Phase D, shard by shard as the resolver runs it.
+      std::vector<TokenShardMail> mailboxes(c.shards);
+      for (size_t t = 0; t < c.shards; ++t) {
+        for (size_t k = 0; k < c.batch; ++k) {
+          std::vector<uint32_t> owned;
+          for (uint32_t pos = 0; pos < owners[k].size(); ++pos) {
+            if (owners[k][pos] == t) owned.push_back(pos);
+          }
+          token_shards[t].AbsorbTokens(first_gid + k, tokens[k], owned,
+                                       &mailboxes[t].mail);
+          mailboxes[t].ends.push_back(mailboxes[t].mail.size());
+        }
+      }
+      std::vector<std::span<const uint8_t>> token_owners(owners.begin(),
+                                                         owners.end());
+      std::vector<model::IdPair> candidates;
+      MergeMail(mailboxes, token_owners, first_gid, &seen, &candidates);
+      ASSERT_EQ(candidates,
+                ReferenceMergeMail(mailboxes, first_gid, c.batch));
+      std::vector<model::IdPair> expected;
+      for (size_t k = 0; k < c.batch; ++k) {
+        single.Absorb(first_gid + k, batch[k], &expected);
+      }
+      ASSERT_EQ(candidates, expected);
+      merged += candidates.size();
+      // Retire a random earlier entity about every other batch.
+      if (rng.NextBool(0.5)) {
+        auto victim = static_cast<model::EntityId>(rng.NextBounded(next_gid));
+        for (auto& index : token_shards) index.Remove(victim);
+        single.Remove(victim);
+      }
+    }
+    EXPECT_GT(merged, 0u);
   }
 }
 

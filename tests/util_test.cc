@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "util/random.h"
+#include "util/stamp_set.h"
 #include "util/timer.h"
 #include "util/union_find.h"
 
@@ -255,6 +256,40 @@ TEST(UnionFindTest, GrowSmallerIsNoop) {
   UnionFind forest(5);
   forest.Grow(3);
   EXPECT_EQ(forest.num_elements(), 5u);
+}
+
+TEST(StampSetTest, ResetEmptiesTheSet) {
+  StampSet set;
+  set.Reset(8);
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_FALSE(set.Insert(3));
+  EXPECT_TRUE(set.Insert(7));
+  set.Reset(8);
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_TRUE(set.Insert(7));
+  // Growing the bound keeps the set's semantics for old and new ids.
+  set.Reset(20);
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_TRUE(set.Insert(19));
+  EXPECT_FALSE(set.Insert(19));
+}
+
+TEST(StampSetTest, NothingReadsAsSeenAfterTheGenerationWraps) {
+  // An 8-bit stamp wraps every 255 resets. Id 0 is stamped in the first
+  // generation only, id 1 never, id 2 in every generation: across three
+  // wraps, a stale stamp that equals a restarted generation (or a
+  // generation that comes back round to the fresh-array value) would make
+  // id 0 or id 1 read as seen.
+  BasicStampSet<uint8_t> set;
+  set.Reset(3);
+  EXPECT_TRUE(set.Insert(0));
+  for (int round = 1; round <= 3 * 256; ++round) {
+    set.Reset(3);
+    EXPECT_FALSE(set.Contains(0)) << "round " << round;
+    EXPECT_FALSE(set.Contains(1)) << "round " << round;
+    EXPECT_TRUE(set.Insert(2)) << "round " << round;
+    EXPECT_TRUE(set.Contains(2)) << "round " << round;
+  }
 }
 
 }  // namespace
