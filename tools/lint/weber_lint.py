@@ -28,6 +28,10 @@ Rules (see tools/lint/rules.md for rationale and examples):
                    locking goes through the annotated weber::util types so
                    clang -Wthread-safety sees every acquisition;
                    `// lint: allow(raw-sync)` escapes with a reason
+  hot-path-dedup   no std::unordered_set<EntityId / uint32_t> or IdPairSet
+                   in src/serve/ and src/incremental/ — the ingest path
+                   dedups candidates through util::StampSet;
+                   `// lint: allow(hot-path-dedup)` escapes with a reason
 
 Usage:
   tools/lint/weber_lint.py              lint the repo; exit 1 on findings
@@ -115,6 +119,15 @@ RAW_SYNC_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|condition_variable(_any)?|"
     r"lock_guard|unique_lock|scoped_lock|shared_lock)\b")
+
+# Hash-set candidate dedup on the per-entity ingest path. The serve and
+# incremental layers dedup through one generation-stamped array
+# (util::StampSet); a hash set there costs a probe and an allocation per
+# candidate.
+HOT_PATH_DEDUP_PREFIXES = ("src/serve/", "src/incremental/")
+HOT_PATH_DEDUP_RE = re.compile(
+    r"(\bstd::unordered_set\s*<\s*(?:(?:weber::)?model::)?"
+    r"(?:EntityId|(?:std::)?uint32_t)\s*[,>]|\bIdPairSet\b)")
 
 CATALOG_HEADER = "### Metric catalog"
 
@@ -348,6 +361,20 @@ def check_socket_io(root, files):
         "front end (or add `// lint: allow(socket-io)` with a reason)")
 
 
+def check_hot_path_dedup(root, files):
+    """Candidate dedup on the per-entity ingest path goes through
+    util::StampSet, not a hash set per entity or batch."""
+    scoped = [
+        path for path in files
+        if rel(root, path).replace(os.sep, "/")
+        .startswith(HOT_PATH_DEDUP_PREFIXES)]
+    return check_pattern_rule(
+        root, scoped, HOT_PATH_DEDUP_RE, "hot-path-dedup", (),
+        "'{found}' in the serve/incremental ingest path — dedup candidates "
+        "through util::StampSet (or add `// lint: allow(hot-path-dedup)` "
+        "with a reason)")
+
+
 def check_indexed_access(root):
     findings = []
     for r in INDEXED_ACCESS_FILES:
@@ -403,6 +430,7 @@ def run_lint(root, fix=False, skip_compile=False):
         "'using namespace std' pollutes every including scope")
     findings += check_file_io(root, lib_files)
     findings += check_socket_io(root, lib_files)
+    findings += check_hot_path_dedup(root, lib_files)
     findings += check_metrics(root, lib_files, fix=fix)
     if not skip_compile:
         findings += check_include_hygiene(root)
@@ -440,6 +468,9 @@ SELF_TEST_SEEDS = {
                  "#include <mutex>\n"
                  "std::mutex rogue_mu;\n"
                  "void f() { std::lock_guard<std::mutex> l(rogue_mu); }\n"),
+    "hot-path-dedup": ("src/serve/rogue_dedup.cc",
+                       "#include <unordered_set>\n"
+                       "void f() { std::unordered_set<uint32_t> seen; }\n"),
 }
 
 
@@ -522,6 +553,24 @@ def self_test() -> int:
             failures.append("socket-io allow/owner escapes did not silence")
         os.remove(path)
         os.remove(owner)
+        # ... and hot-path-dedup; other directories are out of its scope.
+        path = os.path.join(tmp, "src/incremental/rogue_dedup.cc")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write("#include <unordered_set>\n"
+                    "// lint: allow(hot-path-dedup) persistent tombstones\n"
+                    "inline std::unordered_set<unsigned> removed;\n"
+                    "// lint: allow(hot-path-dedup) as above\n"
+                    "inline std::unordered_set<model::EntityId> gone;\n")
+        outside = os.path.join(tmp, "src/eval/rogue_dedup.cc")
+        with open(outside, "w") as f:
+            f.write("#include <unordered_set>\n"
+                    "std::unordered_set<uint32_t> seen;\n")
+        if any(f.rule == "hot-path-dedup" for f in run_lint(tmp)):
+            failures.append("hot-path-dedup allow/scope escapes did not "
+                            "silence")
+        os.remove(path)
+        os.remove(outside)
     for failure in failures:
         print(f"weber-lint: self-test FAILED: {failure}", file=sys.stderr)
     if not failures:
