@@ -135,9 +135,8 @@ class IncrementalTokenIndex {
 
   blocking::TokenBlockingOptions options_;
   std::unordered_map<std::string, Posting> postings_;
-  // Tombstones read by compaction, ToBlocks and Query: state, not a
-  // per-entity dedup.
-  // lint: allow(hot-path-dedup) tombstone set, not candidate dedup
+  // Tombstones read by compaction, ToBlocks and Query.
+  // lint: allow(hot-path-dedup) state, not a per-entity dedup
   std::unordered_set<model::EntityId> removed_;
   // Per-entity candidate dedup of Absorb, AbsorbTokens and Query.
   util::StampSet seen_;

@@ -188,7 +188,8 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   };
   const bool shared_tokens =
       signature_options_.normalize == options_.index.normalize;
-  auto sig_tokens_of = [&](const Prep& prep) -> const std::vector<std::string>& {
+  auto sig_tokens_of =
+      [&](const Prep& prep) -> const std::vector<std::string>& {
     return shared_tokens ? prep.tokens : prep.own_sig_tokens;
   };
   std::vector<Prep> preps(n);
@@ -199,10 +200,11 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
     prep.token_owner.resize(prep.tokens.size());
     for (size_t pos = 0; pos < prep.tokens.size(); ++pos) {
       // TokensOf's length filter, applied in place.
+      const std::string& token = prep.tokens[pos];
       prep.token_owner[pos] =
-          prep.tokens[pos].size() < options_.index.min_token_length
+          token.size() < options_.index.min_token_length
               ? kUnindexedToken
-              : static_cast<uint8_t>(TokenShardOf(prep.tokens[pos], num_shards));
+              : static_cast<uint8_t>(TokenShardOf(token, num_shards));
     }
     if (!prepared) return;
     if (!shared_tokens) {
