@@ -559,7 +559,7 @@ def self_test() -> int:
         with open(path, "w") as f:
             f.write("#include <unordered_set>\n"
                     "// lint: allow(hot-path-dedup) persistent tombstones\n"
-                    "inline std::unordered_set<unsigned> removed;\n"
+                    "inline std::unordered_set<uint32_t> removed;\n"
                     "// lint: allow(hot-path-dedup) as above\n"
                     "inline std::unordered_set<model::EntityId> gone;\n")
         outside = os.path.join(tmp, "src/eval/rogue_dedup.cc")
