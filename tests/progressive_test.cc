@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "blocking/token_blocking.h"
 #include "core/executor.h"
@@ -187,6 +191,154 @@ TEST(DistinctListProperty, SliceRunEqualsScreenedRun) {
                                               corpus.truth, engine);
             EXPECT_EQ(actual.comparisons, std::min(budget, n));
             EXPECT_TRUE(actual == expected);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The screened runner that the one progressive loop replaced, kept as the
+// oracle of its static setting: pops up to 256 pairs at a time, skips
+// self, incomparable and already-evaluated pairs free of budget through an
+// IdPairSet, and scores and commits the rest serially in schedule order.
+RunOutcome ScreenedReferenceRun(const model::EntityCollection& collection,
+                                PairScheduler& scheduler,
+                                const matching::ThresholdMatcher& matcher,
+                                uint64_t budget,
+                                const model::GroundTruth& truth,
+                                const matching::PreparedMatcher* prepared) {
+  eval::ProgressiveCurve curve(truth.NumMatches());
+  RunOutcome outcome;
+  uint64_t scheduled = 0;
+  uint64_t skipped = 0;
+  model::IdPairSet executed;
+  std::vector<model::IdPair> batch;
+  bool exhausted = false;
+  while (!exhausted && outcome.comparisons < budget) {
+    batch.clear();
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(256, budget - outcome.comparisons));
+    while (batch.size() < want) {
+      std::optional<model::IdPair> pair = scheduler.NextPair();
+      if (!pair.has_value()) {
+        exhausted = true;
+        break;
+      }
+      ++scheduled;
+      if (pair->low == pair->high ||
+          !collection.Comparable(pair->low, pair->high) ||
+          !executed.insert(*pair).second) {
+        ++skipped;
+        continue;
+      }
+      batch.push_back(*pair);
+    }
+    for (const model::IdPair& pair : batch) {
+      const bool matched =
+          prepared != nullptr
+              ? prepared->Matches(pair.low, pair.high, matcher.threshold())
+              : matcher.Matches(collection[pair.low], collection[pair.high]);
+      ++outcome.comparisons;
+      curve.Record(matched && truth.IsMatch(pair));
+      if (matched) outcome.reported.push_back(pair);
+      scheduler.OnResult(pair, matched);
+    }
+  }
+  outcome.cumulative = curve.CumulativeMatches();
+  outcome.auc = curve.AreaUnderCurve();
+  outcome.counters = {scheduled, skipped, outcome.comparisons,
+                      outcome.reported.size()};
+  return outcome;
+}
+
+// How many pairs of a fresh schedule spend budget: those handed out that
+// are neither self nor incomparable pairs.
+uint64_t ComparablePairs(const model::EntityCollection& collection,
+                         PairScheduler& scheduler) {
+  uint64_t n = 0;
+  while (std::optional<model::IdPair> pair = scheduler.NextPair()) {
+    if (pair->low != pair->high &&
+        collection.Comparable(pair->low, pair->high)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// Every static scheduler, run through RunProgressive, reports exactly what
+// the screened reference runner reports on a fresh copy of its schedule:
+// the same comparisons, reported pairs in order, curve, AUC and the four
+// weber.progressive.* counters, for any budget, parallelism and engine.
+TEST(ProgressiveRunnerProperty, RunEqualsScreenedReference) {
+  datagen::CorpusConfig config;
+  config.num_entities = 40;
+  config.duplicate_fraction = 0.5;
+  matching::TokenJaccardMatcher jaccard;
+  matching::ThresholdMatcher matcher(&jaccard, 0.5);
+  for (bool clean_clean : {false, true}) {
+    for (uint64_t seed : {1u, 2u}) {
+      config.seed = seed;
+      datagen::CorpusGenerator generator(config);
+      datagen::Corpus corpus = clean_clean ? generator.GenerateCleanClean()
+                                           : generator.GenerateDirty();
+      const model::EntityCollection& c = corpus.collection;
+      matching::SignatureStore store = matching::SignatureStore::Build(
+          c, matching::OptionsFor(jaccard));
+      std::unique_ptr<matching::PreparedMatcher> prepared =
+          matching::Prepare(jaccard, store);
+      ASSERT_NE(prepared, nullptr);
+      blocking::BlockCollection blocks = blocking::TokenBlocking().Build(c);
+      // A random list of distinct pairs with one self pair mixed in; on a
+      // clean-clean corpus it also holds same-source pairs.
+      std::mt19937_64 rng(seed);
+      std::vector<model::IdPair> list;
+      for (model::EntityId a = 0; a < c.size(); ++a) {
+        for (model::EntityId b = a + 1; b < c.size(); ++b) {
+          list.push_back({a, b});
+        }
+      }
+      std::shuffle(list.begin(), list.end(), rng);
+      list.resize(std::uniform_int_distribution<size_t>(1, list.size())(rng));
+      list.insert(list.begin() + static_cast<ptrdiff_t>(list.size() / 3),
+                  model::IdPair{3, 3});
+      const std::pair<const char*,
+                      std::function<std::unique_ptr<PairScheduler>()>>
+          schedules[] = {
+              {"StaticList",
+               [&] { return std::make_unique<StaticListScheduler>(list); }},
+              {"ProgressiveSN",
+               [&] { return std::make_unique<ProgressiveSnScheduler>(c); }},
+              {"PartitionHierarchy",
+               [&] {
+                 return std::make_unique<PartitionHierarchyScheduler>(c);
+               }},
+              {"OrderedBlocks",
+               [&] {
+                 return std::make_unique<OrderedBlocksScheduler>(blocks);
+               }},
+          };
+      for (const auto& [name, make] : schedules) {
+        const uint64_t n = ComparablePairs(c, *make());
+        for (uint64_t budget : {uint64_t{0}, uint64_t{1}, n / 2, n, n + 5}) {
+          const matching::PreparedMatcher* engines[] = {nullptr,
+                                                        prepared.get()};
+          for (const matching::PreparedMatcher* engine : engines) {
+            RunOutcome expected = ScreenedReferenceRun(
+                c, *make(), matcher, budget, corpus.truth, engine);
+            for (size_t parallelism : {1u, 2u, 4u, 8u}) {
+              SCOPED_TRACE(::testing::Message()
+                           << name << " clean_clean=" << clean_clean
+                           << " seed=" << seed << " n=" << n
+                           << " budget=" << budget
+                           << " parallelism=" << parallelism
+                           << " prepared=" << (engine != nullptr));
+              core::ScopedParallelism scoped(parallelism);
+              RunOutcome actual = RunAndObserve(c, *make(), matcher, budget,
+                                                corpus.truth, engine);
+              EXPECT_EQ(actual.comparisons, std::min(budget, n));
+              EXPECT_TRUE(actual == expected);
+            }
           }
         }
       }
