@@ -17,8 +17,8 @@
 // paths (meta-blocking weighting/pruning and batched progressive
 // matching) on the shared work-stealing pool: `balance_speedup` is read
 // back from the `weber.executor.parallel_for_balance` histogram the
-// ParallelFor calls publish. The distinct-matching rows time the
-// declared-distinct slice against the screened batches in wall-clock.
+// ParallelFor calls publish. The distinct-matching rows time the chunked
+// runner over the prepared matcher in wall-clock.
 //
 // Rows: (job, workers).
 
@@ -154,13 +154,11 @@ void BM_ExecutorBatchedMatching(benchmark::State& state) {
 BENCHMARK(BM_ExecutorBatchedMatching)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 
-// The same candidates scored with the prepared Jaccard, through the
-// screened batch loop (declared = 0) or declared distinct and scored as
-// one slice (declared = 1). Wall-clock time only: the balance gauge reads
-// the last ParallelFor, which for the batch loop is one small batch.
+// The same candidates scored with the prepared Jaccard, popped and scored
+// in chunks by the one runner loop. Wall-clock time only: the balance
+// gauge reads the last ParallelFor, which is one chunk.
 void BM_ExecutorDistinctMatching(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
-  bool declared = state.range(1) != 0;
   core::ScopedParallelism parallelism(threads);
   const datagen::Corpus& corpus = Corpus();
   std::vector<model::IdPair> candidates = metablocking::MetaBlock(
@@ -173,9 +171,7 @@ void BM_ExecutorDistinctMatching(benchmark::State& state) {
   std::unique_ptr<matching::PreparedMatcher> prepared =
       matching::Prepare(matcher, store);
   for (auto _ : state) {
-    progressive::StaticListScheduler scheduler =
-        declared ? progressive::StaticListScheduler::FromDistinct(candidates)
-                 : progressive::StaticListScheduler(candidates);
+    progressive::StaticListScheduler scheduler(candidates);
     auto result = progressive::RunProgressive(
         corpus.collection, scheduler, threshold, candidates.size(),
         corpus.truth, prepared.get());
@@ -185,8 +181,8 @@ void BM_ExecutorDistinctMatching(benchmark::State& state) {
   state.counters["pairs"] = static_cast<double>(candidates.size());
 }
 BENCHMARK(BM_ExecutorDistinctMatching)
-    ->ArgNames({"workers", "declared"})
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->ArgName("workers")
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 

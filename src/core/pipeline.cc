@@ -306,14 +306,10 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
     if (config.make_scheduler) {
       scheduler = config.make_scheduler(collection, std::move(candidates));
     } else {
-      // The walk emits each comparable pair once and MetaBlock keeps a
-      // subset of its edges, so the list is distinct — unless the blocks
-      // have no collection, which the walk then cannot screen against.
-      using progressive::StaticListScheduler;
-      scheduler = std::make_unique<StaticListScheduler>(
-          blocks.collection() == &collection
-              ? StaticListScheduler::FromDistinct(std::move(candidates))
-              : StaticListScheduler(std::move(candidates)));
+      // The walk emits each pair once and MetaBlock keeps a subset of its
+      // edges, so the list is a static schedule.
+      scheduler = std::make_unique<progressive::StaticListScheduler>(
+          std::move(candidates));
     }
     WEBER_CHECK(scheduler != nullptr)
         << "make_scheduler returned null; the matching phase needs a "

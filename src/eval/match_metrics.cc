@@ -1,5 +1,6 @@
 #include "eval/match_metrics.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -27,10 +28,13 @@ MatchQuality EvaluateMatchPairs(const std::vector<model::IdPair>& reported,
                                 const model::GroundTruth& truth) {
   MatchQuality quality;
   quality.total_matches = truth.NumMatches();
-  model::IdPairSet seen;
-  for (const model::IdPair& pair : reported) {
-    if (!seen.insert(pair).second) continue;
-    ++quality.reported;
+  // Each distinct reported pair counts once.
+  std::vector<model::IdPair> distinct = reported;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  quality.reported = distinct.size();
+  for (const model::IdPair& pair : distinct) {
     if (truth.IsMatch(pair)) ++quality.true_positives;
   }
   return quality;

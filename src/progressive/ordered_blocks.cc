@@ -1,46 +1,40 @@
 #include "progressive/ordered_blocks.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
 
 namespace weber::progressive {
 
-OrderedBlocksScheduler::OrderedBlocksScheduler(
-    const blocking::BlockCollection& blocks)
-    : blocks_(blocks) {
-  order_.resize(blocks.NumBlocks());
-  for (uint32_t b = 0; b < order_.size(); ++b) order_[b] = b;
-  const model::EntityCollection* collection = blocks.collection();
-  std::sort(order_.begin(), order_.end(), [&](uint32_t x, uint32_t y) {
+namespace {
+
+// `blocks` in ascending cardinality, ties in block order.
+blocking::BlockCollection Ranked(const blocking::BlockCollection& blocks) {
+  std::vector<uint32_t> order(blocks.NumBlocks());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
     uint64_t cx = blocks.Cardinality(blocks.blocks()[x]);
     uint64_t cy = blocks.Cardinality(blocks.blocks()[y]);
     if (cx != cy) return cx < cy;
     return x < y;
   });
-  // Emission rank of each block, then entity -> ascending rank lists so
-  // the least-common-*rank* test mirrors emission order.
-  std::vector<uint32_t> rank_of(order_.size());
-  for (uint32_t r = 0; r < order_.size(); ++r) rank_of[order_[r]] = r;
-  size_t n = collection != nullptr ? collection->size() : 0;
-  for (uint32_t b = 0; b < blocks.NumBlocks(); ++b) {
-    for (model::EntityId id : blocks.blocks()[b].entities) {
-      n = std::max<size_t>(n, id + 1);
-    }
-  }
-  entity_ranks_.resize(n);
-  for (uint32_t b = 0; b < blocks.NumBlocks(); ++b) {
-    for (model::EntityId id : blocks.blocks()[b].entities) {
-      entity_ranks_[id].push_back(rank_of[b]);
-    }
-  }
-  for (std::vector<uint32_t>& ranks : entity_ranks_) {
-    std::sort(ranks.begin(), ranks.end());
-  }
+  blocking::BlockCollection ranked(blocks.collection());
+  for (uint32_t b : order) ranked.AddBlock(blocks.blocks()[b]);
+  return ranked;
 }
 
+}  // namespace
+
+OrderedBlocksScheduler::OrderedBlocksScheduler(
+    const blocking::BlockCollection& blocks)
+    : ranked_(Ranked(blocks)), index_(ranked_.Index()) {}
+
 std::optional<model::IdPair> OrderedBlocksScheduler::NextPair() {
-  const model::EntityCollection* collection = blocks_.collection();
-  while (block_cursor_ < order_.size()) {
-    const blocking::Block& block = blocks_.blocks()[order_[block_cursor_]];
+  const model::EntityCollection* collection = ranked_.collection();
+  while (block_cursor_ < ranked_.NumBlocks()) {
+    const blocking::Block& block = ranked_.blocks()[block_cursor_];
     while (i_ < block.entities.size()) {
       while (j_ < block.entities.size()) {
         model::EntityId a = block.entities[i_];
@@ -50,8 +44,8 @@ std::optional<model::IdPair> OrderedBlocksScheduler::NextPair() {
           continue;
         }
         // Emit only in the first (lowest-rank) block containing both.
-        const std::vector<uint32_t>& ranks_a = entity_ranks_[a];
-        const std::vector<uint32_t>& ranks_b = entity_ranks_[b];
+        std::span<const uint32_t> ranks_a = index_.BlocksOf(a);
+        std::span<const uint32_t> ranks_b = index_.BlocksOf(b);
         size_t x = 0;
         size_t y = 0;
         uint32_t first_common = UINT32_MAX;

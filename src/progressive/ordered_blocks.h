@@ -1,8 +1,6 @@
 #ifndef WEBER_PROGRESSIVE_ORDERED_BLOCKS_H_
 #define WEBER_PROGRESSIVE_ORDERED_BLOCKS_H_
 
-#include <vector>
-
 #include "blocking/block.h"
 #include "progressive/scheduler.h"
 
@@ -25,13 +23,12 @@ class OrderedBlocksScheduler : public PairScheduler {
   std::string name() const override { return "OrderedBlocks"; }
 
  private:
-  const blocking::BlockCollection& blocks_;
-  /// Block indices in ascending cardinality order.
-  std::vector<uint32_t> order_;
-  /// entity -> blocks (in emission-rank space) for the dedup test.
-  std::vector<std::vector<uint32_t>> entity_ranks_;
+  /// The blocks in emission (rank) order, so that the entity-to-block
+  /// index lists each entity's blocks by ascending rank.
+  blocking::BlockCollection ranked_;
+  const blocking::BlockIndex& index_;
 
-  size_t block_cursor_ = 0;  // Position in order_.
+  size_t block_cursor_ = 0;  // Rank of the current block.
   size_t i_ = 0;             // Pair cursor inside the current block.
   size_t j_ = 1;
 };

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
-#include <string>
+#include <optional>
+#include <vector>
 
 #include "core/executor.h"
 #include "obs/metrics.h"
@@ -13,22 +13,10 @@ namespace weber::progressive {
 
 namespace {
 
-// The first pair, in (low, high) order, that breaks the contract of a
-// declared-distinct list, as text, or "" when the list keeps it.
-std::string DistinctListViolation(const model::EntityCollection& collection,
-                                  const std::vector<model::IdPair>& pairs) {
-  std::vector<model::IdPair> sorted = pairs;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    const model::IdPair& pair = sorted[i];
-    if (pair.low >= pair.high || !collection.Comparable(pair.low, pair.high) ||
-        (i > 0 && pair == sorted[i - 1])) {
-      return "(" + std::to_string(pair.low) + ", " +
-             std::to_string(pair.high) + ")";
-    }
-  }
-  return "";
-}
+// Pairs a static schedule is popped, screened and scored in at a time:
+// enough that one ParallelFor per chunk costs nothing next to the scoring,
+// few enough that the chunk and its verdicts stay small (576 KiB).
+constexpr size_t kStaticChunk = size_t{1} << 16;
 
 }  // namespace
 
@@ -43,14 +31,56 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
   // the hot path of the whole matching phase.
   uint64_t scheduled = 0;
   uint64_t skipped = 0;
+  // An adaptive scheduler must see each verdict before handing out the
+  // next pair, so it is popped one pair at a time, and `executed` skips
+  // the pairs it hands out again. A static schedule hands out each pair at
+  // most once, so it is popped in chunks, and only debug and
+  // WEBER_HARDENED builds track `executed`, to check that contract.
+  const bool adaptive = scheduler.AdaptsToFeedback();
+  const bool track_executed = adaptive || WEBER_DCHECK_IS_ON();
+  const size_t max_chunk = adaptive ? 1 : kStaticChunk;
+  model::IdPairSet executed;
+  std::vector<model::IdPair> chunk;
+  chunk.reserve(static_cast<size_t>(std::min<uint64_t>(max_chunk, budget)));
   std::vector<char> verdicts;  // Not vector<bool>: slots written in parallel.
-  // The one scoring body of both paths: scores `pairs` concurrently, then
-  // commits the verdicts serially in schedule order, so budget accounting,
-  // the curve, and OnResult feedback are byte-identical to a serial run.
-  auto score_and_commit = [&](std::span<const model::IdPair> pairs) {
-    verdicts.assign(pairs.size(), 0);
-    core::Executor::Shared().ParallelFor(pairs.size(), [&](size_t i) {
-      const model::IdPair& pair = pairs[i];
+  bool exhausted = false;
+  while (!exhausted && result.comparisons < budget) {
+    chunk.clear();
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(max_chunk, budget - result.comparisons));
+    // Pop until the chunk holds `want` pairs to score, screening each
+    // popped run in place.
+    while (!exhausted && chunk.size() < want) {
+      const size_t first = chunk.size();
+      const size_t popped = scheduler.NextPairs(want - first, chunk);
+      exhausted = popped < want - first;
+      scheduled += popped;
+      size_t kept = first;
+      for (size_t i = first; i < chunk.size(); ++i) {
+        const model::IdPair pair = chunk[i];
+        if (!collection.Comparable(pair.low, pair.high)) {
+          ++skipped;  // Self or incomparable pair.
+          continue;
+        }
+        if (track_executed && !executed.insert(pair).second) {
+          WEBER_DCHECK(adaptive) << "static schedule handed out ("
+                                 << pair.low << ", " << pair.high
+                                 << ") twice";
+          ++skipped;  // Already evaluated.
+          continue;
+        }
+        WEBER_DCHECK_LT(pair.low, pair.high)
+            << "scheduler emitted an unnormalised pair";
+        chunk[kept++] = pair;
+      }
+      chunk.resize(kept);
+    }
+    // Score the chunk concurrently, then commit the verdicts serially in
+    // schedule order, so budget accounting, the curve, and OnResult
+    // feedback are byte-identical to a serial run.
+    verdicts.assign(chunk.size(), 0);
+    core::Executor::Shared().ParallelFor(chunk.size(), [&](size_t i) {
+      const model::IdPair& pair = chunk[i];
       bool matched = prepared != nullptr
                          ? prepared->Matches(pair.low, pair.high,
                                              matcher.threshold())
@@ -58,62 +88,13 @@ ProgressiveRunResult RunProgressive(const model::EntityCollection& collection,
                                            collection[pair.high]);
       verdicts[i] = matched ? 1 : 0;
     });
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const model::IdPair& pair = pairs[i];
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      const model::IdPair& pair = chunk[i];
       bool matched = verdicts[i] != 0;
       ++result.comparisons;
       result.curve.Record(matched && truth.IsMatch(pair));
       if (matched) result.reported.push_back(pair);
       scheduler.OnResult(pair, matched);
-    }
-  };
-
-  if (const std::vector<model::IdPair>* list = scheduler.DistinctList()) {
-    // A declared-distinct list has nothing to screen or deduplicate, so
-    // its budgeted prefix is scored as one slice.
-    WEBER_DCHECK_EQ(DistinctListViolation(collection, *list), std::string())
-        << "a declared-distinct schedule holds a repeated, self, "
-        << "unnormalised or incomparable pair";
-    const size_t n =
-        static_cast<size_t>(std::min<uint64_t>(list->size(), budget));
-    scheduled = n;
-    score_and_commit(std::span(list->data(), n));
-  } else {
-    model::IdPairSet executed;
-    // An adaptive scheduler must see each verdict before handing out the
-    // next pair, so its batch size is pinned to 1 — the loop below then
-    // interleaves NextPair / score / OnResult exactly like a serial run.
-    // Static schedules admit prefetching: pairs are popped and screened in
-    // schedule order, then scored and committed as one batch.
-    const size_t max_batch =
-        scheduler.AdaptsToFeedback()
-            ? 1
-            : std::min<size_t>(core::EffectiveParallelism() * 8, 256);
-    std::vector<model::IdPair> batch;
-    bool exhausted = false;
-    while (!exhausted && result.comparisons < budget) {
-      batch.clear();
-      const uint64_t remaining = budget - result.comparisons;
-      const size_t want = static_cast<size_t>(
-          std::min<uint64_t>(max_batch, remaining));
-      while (batch.size() < want) {
-        std::optional<model::IdPair> pair = scheduler.NextPair();
-        if (!pair.has_value()) {
-          exhausted = true;
-          break;
-        }
-        ++scheduled;
-        if (pair->low == pair->high ||
-            !collection.Comparable(pair->low, pair->high) ||
-            !executed.insert(*pair).second) {
-          ++skipped;  // Self-pair, incomparable, or already evaluated.
-          continue;
-        }
-        WEBER_DCHECK_LT(pair->low, pair->high)
-            << "scheduler emitted an unnormalised pair";
-        batch.push_back(*pair);
-      }
-      if (!batch.empty()) score_and_commit(batch);
     }
   }
   WEBER_DCHECK_LE(result.comparisons, budget)

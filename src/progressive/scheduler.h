@@ -1,6 +1,7 @@
 #ifndef WEBER_PROGRESSIVE_SCHEDULER_H_
 #define WEBER_PROGRESSIVE_SCHEDULER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -19,6 +20,11 @@ namespace weber::progressive {
 /// tutorial): decides which candidate pair is compared next. The runner
 /// feeds match results back through OnResult — the optional update phase —
 /// so schedulers can promote pairs influenced by fresh matches.
+///
+/// A static schedule (AdaptsToFeedback() false) hands out each pair at
+/// most once; it may hand out self and incomparable pairs, which the
+/// runner skips free of budget. Only debug and WEBER_HARDENED builds check
+/// the at-most-once contract.
 class PairScheduler {
  public:
   virtual ~PairScheduler() = default;
@@ -26,65 +32,63 @@ class PairScheduler {
   /// The next pair to compare, or nullopt when the schedule is exhausted.
   virtual std::optional<model::IdPair> NextPair() = 0;
 
+  /// Appends the next pairs NextPair would hand out, at most `max` of
+  /// them, to `out` and returns how many it appended: fewer than `max`
+  /// only when the schedule is exhausted. The runner pops every schedule
+  /// through this, so a list-backed schedule can hand out a whole chunk
+  /// at once. Default: NextPair, pair by pair.
+  virtual size_t NextPairs(size_t max, std::vector<model::IdPair>& out) {
+    size_t n = 0;
+    for (; n < max; ++n) {
+      std::optional<model::IdPair> pair = NextPair();
+      if (!pair.has_value()) break;
+      out.push_back(*pair);
+    }
+    return n;
+  }
+
   /// Update-phase hook: the outcome of the comparison most recently
   /// handed out. Default: ignore feedback (static schedules). A scheduler
   /// overriding this so that feedback influences future NextPair calls
-  /// MUST also override AdaptsToFeedback to return true, or the batched
-  /// runner will prefetch pairs before delivering the feedback.
+  /// MUST also override AdaptsToFeedback to return true, or the runner
+  /// will pop a chunk of pairs before delivering the feedback.
   virtual void OnResult(const model::IdPair& pair, bool matched) {
     (void)pair;
     (void)matched;
   }
 
   /// Whether OnResult changes the order NextPair hands pairs out. When
-  /// false (the default), RunProgressive may pop a batch of pairs and
-  /// score them concurrently — results are still committed in schedule
+  /// false (the default), RunProgressive pops pairs in chunks and scores
+  /// each chunk concurrently — results are still committed in schedule
   /// order, so the run is byte-identical either way. When true, the
-  /// runner stays strictly serial: NextPair, score, OnResult, repeat.
+  /// runner stays strictly serial (NextPair, score, OnResult, repeat), and
+  /// the schedule may hand out a pair again: the runner skips a repeat
+  /// free of budget.
   virtual bool AdaptsToFeedback() const { return false; }
-
-  /// The whole schedule at once, when the scheduler declares it distinct:
-  /// static, and every pair normalised (low < high), comparable under the
-  /// collection, and listed once. RunProgressive then scores the list's
-  /// budgeted prefix as one slice, with no dedup set and no NextPair call
-  /// (OnResult still sees every verdict); it reads the list without
-  /// popping it, so such a schedule serves one run. Only debug and
-  /// WEBER_HARDENED builds check the declaration, and that check sorts a
-  /// copy of the whole list on every run: 8 bytes and O(log n) compares
-  /// per pair (about 180 MB for 22M pairs). Default: null, so the runner
-  /// pops, screens and deduplicates pair by pair.
-  virtual const std::vector<model::IdPair>* DistinctList() const {
-    return nullptr;
-  }
 
   virtual std::string name() const = 0;
 };
 
 /// A static schedule over an explicit pair list, in the given order.
 /// Models both the unordered baseline (pairs as blocking emitted them) and
-/// ranked lists (pairs pre-sorted by a score).
+/// ranked lists (pairs pre-sorted by a score). The list must hold each
+/// pair at most once.
 class StaticListScheduler : public PairScheduler {
  public:
   explicit StaticListScheduler(std::vector<model::IdPair> pairs,
                                std::string label = "StaticList")
       : pairs_(std::move(pairs)), label_(std::move(label)) {}
 
-  /// A static schedule over `pairs` declared distinct (see DistinctList),
-  /// such as BlockCollection::CandidatePairs() or MetaBlock() output.
-  static StaticListScheduler FromDistinct(std::vector<model::IdPair> pairs,
-                                          std::string label = "StaticList") {
-    StaticListScheduler scheduler(std::move(pairs), std::move(label));
-    scheduler.distinct_ = true;
-    return scheduler;
-  }
-
   std::optional<model::IdPair> NextPair() override {
     if (next_ >= pairs_.size()) return std::nullopt;
     return pairs_[next_++];
   }
 
-  const std::vector<model::IdPair>* DistinctList() const override {
-    return distinct_ ? &pairs_ : nullptr;
+  size_t NextPairs(size_t max, std::vector<model::IdPair>& out) override {
+    const size_t n = std::min(max, pairs_.size() - next_);
+    out.insert(out.end(), pairs_.begin() + next_, pairs_.begin() + next_ + n);
+    next_ += n;
+    return n;
   }
 
   std::string name() const override { return label_; }
@@ -93,7 +97,6 @@ class StaticListScheduler : public PairScheduler {
   std::vector<model::IdPair> pairs_;
   size_t next_ = 0;
   std::string label_;
-  bool distinct_ = false;
 };
 
 /// Outcome of a budgeted progressive run.
@@ -109,16 +112,15 @@ struct ProgressiveRunResult {
       : curve(total_matches) {}
 };
 
-/// Executes the progressive loop: pop a pair from the scheduler, evaluate
-/// the matcher, feed the verdict back, until `budget` comparisons have run
-/// or the schedule is exhausted. Pairs are deduplicated (a pair handed out
-/// twice is only evaluated once), and self or incomparable pairs are
-/// skipped without spending budget — except in a declared-distinct list
-/// (PairScheduler::DistinctList), which must hold no such pairs and is
-/// checked only in debug and WEBER_HARDENED builds. Either way verdicts
-/// are committed in schedule order, so a run is byte-identical for any
-/// parallelism. The curve records *true* matches (per
-/// `truth`) so that recall-vs-budget is directly comparable across
+/// Executes the progressive loop: pop pairs from the scheduler, evaluate
+/// the matcher, feed each verdict back, until `budget` comparisons have
+/// run or the schedule is exhausted. Self and incomparable pairs are
+/// skipped without spending budget, as is a pair an adaptive scheduler
+/// hands out again. A static schedule is popped in fixed-size chunks,
+/// each scored concurrently; an adaptive one, one pair at a time. Either
+/// way verdicts are committed in schedule order, so a run is
+/// byte-identical for any parallelism. The curve records *true* matches
+/// (per `truth`) so that recall-vs-budget is directly comparable across
 /// schedulers.
 /// `prepared`, when non-null, scores pairs over interned signatures
 /// instead of re-tokenising descriptions; it must be the prepared twin of

@@ -259,7 +259,7 @@ TEST(ExecutorStatsTest, ParallelForPublishesBalance) {
   ScopedParallelism parallel(4);
   Executor::Shared().ParallelFor(256, [](size_t i) {
     volatile double acc = 0.0;
-    for (size_t k = 0; k < 2000; ++k) acc += static_cast<double>(i + k);
+    for (size_t k = 0; k < 2000; ++k) acc = acc + static_cast<double>(i + k);
   });
   obs::RegistrySnapshot snap = registry.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("weber.executor.parallel_fors"), 1u);

@@ -47,6 +47,33 @@ TEST(StaticListSchedulerTest, EmitsInOrderThenExhausts) {
   EXPECT_FALSE(scheduler.NextPair().has_value());
 }
 
+TEST(StaticListSchedulerTest, NextPairsPopsARangeThenExhausts) {
+  StaticListScheduler scheduler({model::IdPair::Of(0, 1),
+                                 model::IdPair::Of(2, 3),
+                                 model::IdPair::Of(4, 5)});
+  std::vector<model::IdPair> out = {model::IdPair::Of(8, 9)};
+  EXPECT_EQ(scheduler.NextPairs(2, out), 2u);
+  EXPECT_EQ(out, (std::vector<model::IdPair>{model::IdPair::Of(8, 9),
+                                             model::IdPair::Of(0, 1),
+                                             model::IdPair::Of(2, 3)}));
+  EXPECT_EQ(scheduler.NextPairs(5, out), 1u);
+  EXPECT_EQ(out.back(), model::IdPair::Of(4, 5));
+  EXPECT_EQ(scheduler.NextPairs(5, out), 0u);
+  EXPECT_FALSE(scheduler.NextPair().has_value());
+}
+
+TEST(PairSchedulerTest, DefaultNextPairsFollowsNextPair) {
+  model::EntityCollection c = TinyDirty(nullptr);
+  ProgressiveSnScheduler one_by_one(c);
+  std::vector<model::IdPair> expected;
+  while (auto pair = one_by_one.NextPair()) expected.push_back(*pair);
+  ProgressiveSnScheduler chunked(c);
+  std::vector<model::IdPair> actual;
+  EXPECT_EQ(chunked.NextPairs(4, actual), 4u);
+  EXPECT_EQ(chunked.NextPairs(expected.size(), actual), expected.size() - 4);
+  EXPECT_EQ(actual, expected);
+}
+
 TEST(RunProgressiveTest, BudgetCapsComparisons) {
   model::GroundTruth truth;
   model::EntityCollection c = TinyDirty(&truth);
@@ -64,16 +91,30 @@ TEST(RunProgressiveTest, BudgetCapsComparisons) {
   EXPECT_EQ(result.curve.NumComparisons(), 5u);
 }
 
+// An adaptive schedule over a fixed list: it may hand out a pair again,
+// as an update phase that re-promotes a pair would.
+class RepeatingAdaptiveScheduler : public StaticListScheduler {
+ public:
+  using StaticListScheduler::StaticListScheduler;
+  bool AdaptsToFeedback() const override { return true; }
+};
+
 TEST(RunProgressiveTest, DeduplicatesPairs) {
   model::GroundTruth truth;
   model::EntityCollection c = TinyDirty(&truth);
-  StaticListScheduler scheduler({model::IdPair::Of(0, 1),
-                                 model::IdPair::Of(0, 1),
-                                 model::IdPair::Of(2, 3)});
+  RepeatingAdaptiveScheduler scheduler({model::IdPair::Of(0, 1),
+                                        model::IdPair::Of(0, 1),
+                                        model::IdPair::Of(2, 3)});
   matching::TokenJaccardMatcher matcher;
+  obs::MetricsRegistry registry;
+  obs::ScopedRegistry attach(&registry);
   ProgressiveRunResult result =
       RunProgressive(c, scheduler, {&matcher, 0.4}, 100, truth);
   EXPECT_EQ(result.comparisons, 2u);
+  EXPECT_EQ(registry.GetCounter("weber.progressive.scheduled_pairs").Value(),
+            3u);
+  EXPECT_EQ(registry.GetCounter("weber.progressive.skipped_pairs").Value(),
+            1u);
 }
 
 TEST(RunProgressiveTest, ReportedMatchesAreMatcherPositives) {
@@ -89,20 +130,10 @@ TEST(RunProgressiveTest, ReportedMatchesAreMatcherPositives) {
 }
 
 // ---------------------------------------------------------------------------
-// Declared-distinct schedules (StaticListScheduler::FromDistinct)
+// The runner against its screened reference
 // ---------------------------------------------------------------------------
 
-TEST(StaticListSchedulerTest, OnlyFromDistinctDeclaresItsList) {
-  std::vector<model::IdPair> pairs = {model::IdPair::Of(0, 1),
-                                      model::IdPair::Of(2, 3)};
-  EXPECT_EQ(StaticListScheduler(pairs).DistinctList(), nullptr);
-  StaticListScheduler declared = StaticListScheduler::FromDistinct(pairs);
-  ASSERT_NE(declared.DistinctList(), nullptr);
-  EXPECT_EQ(*declared.DistinctList(), pairs);
-  EXPECT_EQ(declared.NextPair(), model::IdPair::Of(0, 1));
-}
-
-// Everything a run reports that the two runner paths must agree on.
+// Everything a run reports that the runner and its reference must agree on.
 struct RunOutcome {
   uint64_t comparisons = 0;
   std::vector<model::IdPair> reported;
@@ -133,69 +164,6 @@ RunOutcome RunAndObserve(const model::EntityCollection& collection,
     outcome.counters.push_back(registry.GetCounter(name).Value());
   }
   return outcome;
-}
-
-// A random list of distinct comparable pairs, in random order.
-std::vector<model::IdPair> RandomDistinctPairs(
-    const model::EntityCollection& collection, std::mt19937_64& rng) {
-  std::vector<model::IdPair> all;
-  for (model::EntityId a = 0; a < collection.size(); ++a) {
-    for (model::EntityId b = a + 1; b < collection.size(); ++b) {
-      if (collection.Comparable(a, b)) all.push_back({a, b});
-    }
-  }
-  std::shuffle(all.begin(), all.end(), rng);
-  all.resize(std::uniform_int_distribution<size_t>(1, all.size())(rng));
-  return all;
-}
-
-TEST(DistinctListProperty, SliceRunEqualsScreenedRun) {
-  datagen::CorpusConfig config;
-  config.num_entities = 40;
-  config.duplicate_fraction = 0.5;
-  matching::TokenJaccardMatcher jaccard;
-  matching::ThresholdMatcher matcher(&jaccard, 0.5);
-  for (bool clean_clean : {false, true}) {
-    for (uint64_t seed : {1u, 2u}) {
-      config.seed = seed;
-      datagen::CorpusGenerator generator(config);
-      datagen::Corpus corpus = clean_clean ? generator.GenerateCleanClean()
-                                           : generator.GenerateDirty();
-      const model::EntityCollection& c = corpus.collection;
-      matching::SignatureStore store = matching::SignatureStore::Build(
-          c, matching::OptionsFor(jaccard));
-      std::unique_ptr<matching::PreparedMatcher> prepared =
-          matching::Prepare(jaccard, store);
-      ASSERT_NE(prepared, nullptr);
-      std::mt19937_64 rng(seed);
-      std::vector<model::IdPair> list = RandomDistinctPairs(c, rng);
-      const uint64_t n = list.size();
-      for (uint64_t budget : {uint64_t{0}, uint64_t{1}, n / 2, n, n + 5}) {
-        for (size_t parallelism : {1u, 2u, 4u, 8u}) {
-          core::ScopedParallelism scoped(parallelism);
-          const matching::PreparedMatcher* engines[] = {nullptr,
-                                                        prepared.get()};
-          for (const matching::PreparedMatcher* engine : engines) {
-            SCOPED_TRACE(::testing::Message()
-                         << "clean_clean=" << clean_clean << " seed=" << seed
-                         << " n=" << n << " budget=" << budget
-                         << " parallelism=" << parallelism
-                         << " prepared=" << (engine != nullptr));
-            StaticListScheduler screened(list);
-            StaticListScheduler declared =
-                StaticListScheduler::FromDistinct(list);
-            RunOutcome expected =
-                RunAndObserve(c, screened, matcher, budget, corpus.truth,
-                              engine);
-            RunOutcome actual = RunAndObserve(c, declared, matcher, budget,
-                                              corpus.truth, engine);
-            EXPECT_EQ(actual.comparisons, std::min(budget, n));
-            EXPECT_TRUE(actual == expected);
-          }
-        }
-      }
-    }
-  }
 }
 
 // The screened runner that the one progressive loop replaced, kept as the
@@ -347,32 +315,22 @@ TEST(ProgressiveRunnerProperty, RunEqualsScreenedReference) {
 }
 
 #if WEBER_DCHECK_IS_ON()
-TEST(DistinctListDeathTest, DuplicateSelfOrIncomparablePairFails) {
+// A static schedule must hand out each pair at most once and normalised.
+// Self and incomparable pairs are not faults: the runner skips them free
+// (SchedulerEdgeTest.SelfPairsAndIncomparablePairsSkippedFree).
+TEST(StaticScheduleDeathTest, RepeatedOrUnnormalisedPairFails) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   model::GroundTruth truth;
-  model::EntityCollection dirty = TinyDirty(&truth);
-  model::GroundTruth clean_truth;
-  model::EntityCollection clean =
-      ::weber::testing::TinyCleanClean(&clean_truth);
+  model::EntityCollection c = TinyDirty(&truth);
   matching::TokenJaccardMatcher matcher;
-  auto run = [&](const model::EntityCollection& c,
-                 const model::GroundTruth& t,
-                 std::vector<model::IdPair> pairs) {
-    StaticListScheduler scheduler =
-        StaticListScheduler::FromDistinct(std::move(pairs));
-    RunProgressive(c, scheduler, {&matcher, 0.4}, 100, t);
+  auto run = [&](std::vector<model::IdPair> pairs) {
+    StaticListScheduler scheduler(std::move(pairs));
+    RunProgressive(c, scheduler, {&matcher, 0.4}, 100, truth);
   };
-  EXPECT_DEATH(run(dirty, truth,
-                   {model::IdPair::Of(0, 1), model::IdPair::Of(2, 3),
+  EXPECT_DEATH(run({model::IdPair::Of(0, 1), model::IdPair::Of(2, 3),
                     model::IdPair::Of(0, 1)}),
-               "\\(0, 1\\)");
-  EXPECT_DEATH(run(dirty, truth, {model::IdPair{2, 2}}),
-               "\\(2, 2\\)");
-  EXPECT_DEATH(run(dirty, truth, {model::IdPair{3, 1}}),
-               "\\(3, 1\\)");
-  // Entities 0 and 1 come from the same source.
-  EXPECT_DEATH(run(clean, clean_truth, {model::IdPair::Of(0, 1)}),
-               "incomparable pair");
+               "\\(0, 1\\) twice");
+  EXPECT_DEATH(run({model::IdPair{3, 1}}), "unnormalised pair");
 }
 #endif
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "matching/matcher.h"
@@ -97,6 +99,42 @@ TEST(SchedulerEdgeTest, OrderedBlocksWithRedundantBlocksStaysDistinct) {
     EXPECT_TRUE(seen.insert(*pair).second);
   }
   EXPECT_EQ(seen, blocks.DistinctPairs());
+}
+
+// A collection whose descriptions all share one blocking key, so every
+// sort position ties with every other and every hierarchy level holds one
+// partition of all of them.
+model::EntityCollection TiedKeys(size_t n) {
+  model::EntityCollection c;
+  for (size_t i = 0; i < n; ++i) {
+    model::EntityDescription d("u" + std::to_string(i));
+    d.AddPair("name", "same key");
+    c.Add(d);
+  }
+  return c;
+}
+
+TEST(SchedulerEdgeTest, ProgressiveSnWithTiedKeysStaysDistinct) {
+  model::EntityCollection c = TiedKeys(7);
+  ProgressiveSnScheduler scheduler(c);
+  model::IdPairSet seen;
+  while (auto pair = scheduler.NextPair()) {
+    EXPECT_LT(pair->low, pair->high);
+    EXPECT_TRUE(seen.insert(*pair).second);
+  }
+  EXPECT_EQ(seen.size(), c.TotalComparisons());
+}
+
+TEST(SchedulerEdgeTest, PartitionHierarchyWithTiedKeysStaysDistinct) {
+  model::EntityCollection c = TiedKeys(7);
+  // Unsorted, repeated levels that all cover the one tied partition.
+  PartitionHierarchyScheduler scheduler(c, {2, 8, 2, 0, 4});
+  model::IdPairSet seen;
+  while (auto pair = scheduler.NextPair()) {
+    EXPECT_LT(pair->low, pair->high);
+    EXPECT_TRUE(seen.insert(*pair).second);
+  }
+  EXPECT_EQ(seen.size(), c.TotalComparisons());
 }
 
 TEST(SchedulerEdgeTest, RunProgressiveStopsWhenScheduleExhausts) {

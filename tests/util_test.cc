@@ -179,7 +179,7 @@ TEST(TimerTest, ThreadCpuSecondsNonDecreasingUnderWork) {
   EXPECT_GE(previous, 0.0);
   volatile uint64_t sink = 0;
   for (int round = 0; round < 10; ++round) {
-    for (uint64_t i = 0; i < 200000; ++i) sink += i;
+    for (uint64_t i = 0; i < 200000; ++i) sink = sink + i;
     double now = ThreadCpuSeconds();
     EXPECT_GE(now, previous);
     previous = now;
@@ -191,7 +191,7 @@ TEST(TimerTest, ThreadCpuSecondsNonDecreasingUnderWork) {
 TEST(TimerTest, ThreadCpuSecondsIsPerThread) {
   // A fresh thread starts from (near) zero CPU, independent of ours.
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 2000000; ++i) sink += i;
+  for (uint64_t i = 0; i < 2000000; ++i) sink = sink + i;
   double fresh_thread_cpu = 1e9;
   std::thread probe([&fresh_thread_cpu] {
     fresh_thread_cpu = ThreadCpuSeconds();

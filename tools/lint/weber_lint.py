@@ -32,6 +32,8 @@ Rules (see tools/lint/rules.md for rationale and examples):
                    in src/serve/ and src/incremental/ — the ingest path
                    dedups candidates through util::StampSet;
                    `// lint: allow(hot-path-dedup)` escapes with a reason
+                   — nor in src/eval/, with no escape: evaluation counts
+                   distinct pairs over sorted, uniqued vectors
 
 Usage:
   tools/lint/weber_lint.py              lint the repo; exit 1 on findings
@@ -123,8 +125,9 @@ RAW_SYNC_RE = re.compile(
 # Hash-set candidate dedup on the per-entity ingest path. The serve and
 # incremental layers dedup through one generation-stamped array
 # (util::StampSet); a hash set there costs a probe and an allocation per
-# candidate.
+# candidate. Evaluation dedups by sorting, and takes no escape.
 HOT_PATH_DEDUP_PREFIXES = ("src/serve/", "src/incremental/")
+HOT_PATH_DEDUP_STRICT_PREFIXES = ("src/eval/",)
 HOT_PATH_DEDUP_RE = re.compile(
     r"(\bstd::unordered_set\s*<\s*(?:(?:weber::)?model::)?"
     r"(?:EntityId|(?:std::)?uint32_t)\s*[,>]|\bIdPairSet\b)")
@@ -234,14 +237,15 @@ def allowed_lines(raw: str, rule: str):
     return allowed
 
 
-def check_pattern_rule(root, files, regex, rule, owners, message):
+def check_pattern_rule(root, files, regex, rule, owners, message,
+                       escapable=True):
     findings = []
     for path in files:
         r = rel(root, path)
         if r.replace(os.sep, "/") in owners:
             continue
         raw = read(path)
-        allow = allowed_lines(raw, rule)
+        allow = allowed_lines(raw, rule) if escapable else set()
         stripped = strip_comments_and_strings(raw)
         for lineno, line in enumerate(stripped.splitlines(), 1):
             m = regex.search(line)
@@ -363,16 +367,21 @@ def check_socket_io(root, files):
 
 def check_hot_path_dedup(root, files):
     """Candidate dedup on the per-entity ingest path goes through
-    util::StampSet, not a hash set per entity or batch."""
-    scoped = [
-        path for path in files
-        if rel(root, path).replace(os.sep, "/")
-        .startswith(HOT_PATH_DEDUP_PREFIXES)]
+    util::StampSet, not a hash set per entity or batch; evaluation counts
+    distinct pairs over a sorted, uniqued vector."""
+    def under(prefixes):
+        return [path for path in files
+                if rel(root, path).replace(os.sep, "/").startswith(prefixes)]
     return check_pattern_rule(
-        root, scoped, HOT_PATH_DEDUP_RE, "hot-path-dedup", (),
+        root, under(HOT_PATH_DEDUP_PREFIXES), HOT_PATH_DEDUP_RE,
+        "hot-path-dedup", (),
         "'{found}' in the serve/incremental ingest path — dedup candidates "
         "through util::StampSet (or add `// lint: allow(hot-path-dedup)` "
-        "with a reason)")
+        "with a reason)") + check_pattern_rule(
+        root, under(HOT_PATH_DEDUP_STRICT_PREFIXES), HOT_PATH_DEDUP_RE,
+        "hot-path-dedup", (),
+        "'{found}' in src/eval/ — count distinct pairs over a sorted, "
+        "uniqued vector (no escape in this directory)", escapable=False)
 
 
 def check_indexed_access(root):
@@ -562,7 +571,8 @@ def self_test() -> int:
                     "inline std::unordered_set<uint32_t> removed;\n"
                     "// lint: allow(hot-path-dedup) as above\n"
                     "inline std::unordered_set<model::EntityId> gone;\n")
-        outside = os.path.join(tmp, "src/eval/rogue_dedup.cc")
+        outside = os.path.join(tmp, "src/blocking/rogue_dedup.cc")
+        os.makedirs(os.path.dirname(outside), exist_ok=True)
         with open(outside, "w") as f:
             f.write("#include <unordered_set>\n"
                     "std::unordered_set<uint32_t> seen;\n")
@@ -571,6 +581,17 @@ def self_test() -> int:
                             "silence")
         os.remove(path)
         os.remove(outside)
+        # In src/eval/ the rule takes no escape.
+        path = os.path.join(tmp, "src/eval/rogue_dedup.cc")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write("#include <unordered_set>\n"
+                    "// lint: allow(hot-path-dedup) counts distinct pairs\n"
+                    "model::IdPairSet seen;\n")
+        if not any(f.rule == "hot-path-dedup" for f in run_lint(tmp)):
+            failures.append("allow(hot-path-dedup) silenced a hash set in "
+                            "src/eval/")
+        os.remove(path)
     for failure in failures:
         print(f"weber-lint: self-test FAILED: {failure}", file=sys.stderr)
     if not failures:
